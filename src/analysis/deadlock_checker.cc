@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/search_deadline.h"
 #include "analysis/store_stats.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -18,24 +20,7 @@
 namespace wydb {
 namespace {
 
-Status DeadlineError() {
-  return Status::ResourceExhausted("deadlock check deadline exceeded");
-}
-
-/// Polls the deadline, counting the wall-clock consult in the report;
-/// true when a configured deadline has passed. No-deadline runs cost one
-/// comparison and count nothing.
-bool PollDeadline(const DeadlockCheckOptions& options,
-                  DeadlockReport* report) {
-  if (options.deadline == std::chrono::steady_clock::time_point{}) {
-    return false;
-  }
-  ++report->deadline_polls;
-  return std::chrono::steady_clock::now() >= options.deadline;
-}
-
-/// How often the serial engines poll the deadline, in popped states.
-constexpr uint64_t kDeadlineStride = 2048;
+constexpr char kCheck[] = "deadlock";
 
 // Reconstructs the schedule leading to `state` by following parent links.
 Schedule PathTo(const ExecState& state,
@@ -106,7 +91,7 @@ Result<DeadlockReport> CheckDeadlockFreedomNaive(
     }
     if (report.states_visited % kDeadlineStride == 1 &&
         PollDeadline(options, &report)) {
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     std::vector<GlobalNode> moves = space.LegalMoves(s);
@@ -183,7 +168,7 @@ Result<DeadlockReport> CheckDeadlockFreedomIncremental(
     }
     if (report.states_visited % kDeadlineStride == 1 &&
         PollDeadline(options, &report)) {
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     moves.clear();
@@ -262,7 +247,10 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
   StateSpace space(&sys);
   DeadlockReport report;
 
-  ThreadPool pool(options.search_threads);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool& pool = options.pool != nullptr
+                         ? *options.pool
+                         : owned_pool.emplace(options.search_threads);
   const int kw = space.words_per_state();
   const int aw = space.aux_words();
   ShardedStateStore store(kw, aw, /*num_shards=*/4 * pool.threads(),
@@ -305,30 +293,17 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
     s.moves.reserve(64);
   }
 
-  // In-level deadline machinery: a per-level check alone lets one
-  // oversized BFS level outrun the budget by that level's whole
-  // expansion time, so workers also poll the clock once per chunk and
-  // raise `deadline_hit` for everyone.
-  const bool has_deadline =
-      options.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkDeadline chunk_deadline(options.deadline);
 
   size_t level_begin = 0;
   while (level_begin < store.size()) {
-    if (PollDeadline(options, &report)) return DeadlineError();
+    if (PollDeadline(options, &report)) return DeadlineError(kCheck);
     const size_t level_end = store.size();
     const size_t level_size = level_end - level_begin;
+    const uint64_t level_dispatches = pool.dispatches();
+    auto count_level = [&] {
+      if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
+    };
     for (WorkerScratch& s : scratch) s.witness = ShardedStateStore::kNoId;
     // Popping this whole level already exceeds the budget, so the serial
     // loop can only end inside it — with a witness whose id fits the
@@ -353,7 +328,7 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
       pool.ParallelFor(
           wcount, kChunkStates,
           [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
+            if (chunk_deadline.Expired()) return;  // Level aborts below.
             WorkerScratch& ws = scratch[worker];
             ShardedStateStore::Staging& staging =
                 window[begin / kChunkStates];
@@ -397,12 +372,11 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
         return Status::Internal("frontier spill write failed");
       }
     }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
+    report.deadline_polls += chunk_deadline.TakePolls();
+    if (chunk_deadline.hit()) {
       // Skipped chunks may hide the minimal witness, so an expired level
       // reports the budget overrun, never a possibly-non-minimal witness.
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     if (witness != ShardedStateStore::kNoId) {
@@ -412,6 +386,7 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
             "deadlock check exceeded %llu states",
             static_cast<unsigned long long>(options.max_states)));
       }
+      count_level();
       report.states_visited = static_cast<uint64_t>(witness) + 1;
       report.deadlock_free = false;
       report.states_interned = store.size();
@@ -435,6 +410,7 @@ Result<DeadlockReport> CheckDeadlockFreedomParallel(
     if (!stager.Commit(options.memoize, &fresh)) {
       return Status::Internal("frontier spill read-back failed");
     }
+    count_level();
     // Hash compaction keeps only the frontier's key/aux words resident;
     // everything below this level has been fully expanded.
     if (compact) store.RetireExpanded();
@@ -506,7 +482,10 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
   const bool canonical = orbits.HasNontrivialOrbit();
   DeadlockReport report;
 
-  ThreadPool pool(options.search_threads);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool& pool = options.pool != nullptr
+                         ? *options.pool
+                         : owned_pool.emplace(options.search_threads);
   const int kw = space.words_per_state();
   const int aw = space.aux_words();
   ShardedStateStore store(kw, aw, /*num_shards=*/4 * pool.threads(),
@@ -546,27 +525,17 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
     return total;
   };
 
-  // In-level deadline machinery, as in CheckDeadlockFreedomParallel.
-  const bool has_deadline =
-      options.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkDeadline chunk_deadline(options.deadline);
 
   size_t level_begin = 0;
   while (level_begin < store.size()) {
-    if (PollDeadline(options, &report)) return DeadlineError();
+    if (PollDeadline(options, &report)) return DeadlineError(kCheck);
     const size_t level_end = store.size();
     const size_t level_size = level_end - level_begin;
+    const uint64_t level_dispatches = pool.dispatches();
+    auto count_level = [&] {
+      if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
+    };
     for (WorkerScratch& s : scratch) s.witness = ShardedStateStore::kNoId;
     const bool budget_ends_here =
         options.max_states != 0 && level_end > options.max_states;
@@ -582,7 +551,7 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
       pool.ParallelFor(
           wcount, kChunkStates,
           [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
+            if (chunk_deadline.Expired()) return;  // Level aborts below.
             WorkerScratch& ws = scratch[worker];
             ShardedStateStore::Staging& staging =
                 window[begin / kChunkStates];
@@ -627,12 +596,11 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
         return Status::Internal("frontier spill write failed");
       }
     }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
+    report.deadline_polls += chunk_deadline.TakePolls();
+    if (chunk_deadline.hit()) {
       // Skipped chunks may hide the minimal witness, so an expired level
       // reports the budget overrun, never a possibly-non-minimal witness.
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     if (witness != ShardedStateStore::kNoId) {
@@ -642,6 +610,7 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
             "deadlock check exceeded %llu states",
             static_cast<unsigned long long>(options.max_states)));
       }
+      count_level();
       report.states_visited = static_cast<uint64_t>(witness) + 1;
       report.states_interned = store.size();
       report.sleep_set_pruned = sum_pruned();
@@ -661,6 +630,7 @@ Result<DeadlockReport> CheckDeadlockFreedomReduced(
     if (!stager.Commit(options.memoize, &fresh)) {
       return Status::Internal("frontier spill read-back failed");
     }
+    count_level();
     level_begin = level_end;
   }
 

@@ -27,6 +27,8 @@
 
 namespace wydb {
 
+class ThreadPool;
+
 /// How DeadlockChecker recognizes a deadlock.
 enum class DeadlockDetectionMode {
   kStuckState,
@@ -48,6 +50,12 @@ struct DeadlockCheckOptions {
   /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
   /// hardware concurrency. Results are identical for every value.
   int search_threads = 0;
+  /// Worker pool for the level-synchronous engines (kParallelSharded,
+  /// kReduced). Null = the check builds its own from `search_threads`;
+  /// set, `search_threads` is ignored. A caller running several checks
+  /// passes one pool to all of them so the workers are spawned once. Not
+  /// owned; one check at a time may use it.
+  ThreadPool* pool = nullptr;
   /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
   /// Non-default values require the kParallelSharded or kReduced engine
   /// (kCompact: kParallelSharded only — reduced witness replay reads
@@ -96,6 +104,10 @@ struct DeadlockReport {
   uint64_t probe_table_bytes = 0;
   /// BFS levels whose staged frontier hit the spill file.
   uint64_t spilled_levels = 0;
+  /// BFS levels whose expansion or commit was handed to the worker pool
+  /// rather than run inline on the caller; 0 for the serial engines and
+  /// for one-thread pools.
+  uint64_t parallel_levels = 0;
   /// False when the verdict came from a hash-compacted (fingerprint)
   /// search: sound for refutation, not a certificate. Witnesses replay
   /// concretely and stay trustworthy either way.

@@ -3,9 +3,11 @@
 #include <bit>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/search_deadline.h"
 #include "analysis/store_stats.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -18,23 +20,7 @@
 namespace wydb {
 namespace {
 
-Status DeadlineError() {
-  return Status::ResourceExhausted("safety check deadline exceeded");
-}
-
-/// Polls the deadline, counting the wall-clock consult in the report;
-/// true when a configured deadline has passed. No-deadline runs cost one
-/// comparison and count nothing.
-bool PollDeadline(const SafetyCheckOptions& options, SafetyReport* report) {
-  if (options.deadline == std::chrono::steady_clock::time_point{}) {
-    return false;
-  }
-  ++report->deadline_polls;
-  return std::chrono::steady_clock::now() >= options.deadline;
-}
-
-/// How often the serial engines poll the deadline, in popped states.
-constexpr uint64_t kDeadlineStride = 2048;
+constexpr char kCheck[] = "safety";
 
 /// True iff transaction `t` lies on a cycle of the packed row-major arc
 /// bitset (one row of `row_words` words per transaction): bitset BFS from
@@ -260,7 +246,7 @@ Result<SafetyReport> LemmaSearchNaive::Run() {
     }
     if (report.states_visited % kDeadlineStride == 1 &&
         PollDeadline(options_, &report)) {
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     Digraph arcs = ArcsDigraph(s);
@@ -430,7 +416,7 @@ Result<SafetyReport> LemmaSearchIncremental::Run() {
     }
     if (report.states_visited % kDeadlineStride == 1 &&
         PollDeadline(options_, &report)) {
-      return DeadlineError();
+      return DeadlineError(kCheck);
     }
 
     if ((store.AuxOf(head)[lay_.flag_word_] & 1) != 0) {
@@ -552,7 +538,10 @@ class LemmaSearchParallel {
 
 Result<SafetyReport> LemmaSearchParallel::Run() {
   SafetyReport report;
-  ThreadPool pool(options_.search_threads);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool& pool = options_.pool != nullptr
+                         ? *options_.pool
+                         : owned_pool.emplace(options_.search_threads);
   ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
                           /*num_shards=*/4 * pool.threads(), options_.store);
   const bool compact =
@@ -588,30 +577,16 @@ Result<SafetyReport> LemmaSearchParallel::Run() {
   }
   ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
 
-  // In-level deadline machinery: a per-level check alone lets one
-  // oversized BFS level outrun the budget by that level's whole
-  // expansion time, so workers also poll the clock once per chunk and
-  // raise `deadline_hit` for everyone.
-  const bool has_deadline =
-      options_.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options_.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkDeadline chunk_deadline(options_.deadline);
 
   size_t level_begin = 0;
   while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError();
+    if (PollDeadline(options_, &report)) return DeadlineError(kCheck);
     const size_t level_end = store.size();
     const size_t level_size = level_end - level_begin;
+    // The flagged scan below runs serially, so a level reaches the pool
+    // only in its expansion windows or its commit.
+    const uint64_t level_dispatches = pool.dispatches();
 
     // Phase 1: flagged (cyclic) states, in id order. Mirrors the serial
     // pop loop: the budget check precedes the flag handling at each id.
@@ -619,7 +594,7 @@ Result<SafetyReport> LemmaSearchParallel::Run() {
       const uint32_t id = static_cast<uint32_t>(level_begin + i);
       if (i % kDeadlineStride == kDeadlineStride - 1 &&
           PollDeadline(options_, &report)) {
-        return DeadlineError();
+        return DeadlineError(kCheck);
       }
       if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
       if (options_.max_states != 0 &&
@@ -676,7 +651,7 @@ Result<SafetyReport> LemmaSearchParallel::Run() {
       pool.ParallelFor(
           wcount, kChunkStates,
           [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
+            if (chunk_deadline.Expired()) return;  // Level aborts below.
             WorkerScratch& ws = scratch[worker];
             ShardedStateStore::Staging& staging =
                 window[begin / kChunkStates];
@@ -712,10 +687,9 @@ Result<SafetyReport> LemmaSearchParallel::Run() {
         return Status::Internal("frontier spill write failed");
       }
     }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return DeadlineError();  // A partial level is never committed.
+    report.deadline_polls += chunk_deadline.TakePolls();
+    if (chunk_deadline.hit()) {
+      return DeadlineError(kCheck);  // A partial level is never committed.
     }
 
     // Phase 3: deterministic commit (replayed from disk if spilled).
@@ -723,6 +697,7 @@ Result<SafetyReport> LemmaSearchParallel::Run() {
     if (!stager.Commit(/*dedupe=*/true, &fresh)) {
       return Status::Internal("frontier spill read-back failed");
     }
+    if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
     // Hash compaction keeps only the frontier's key/aux words resident;
     // everything below this level has been fully expanded.
     if (compact) store.RetireExpanded();
@@ -772,7 +747,10 @@ class LemmaSearchReduced {
 
 Result<SafetyReport> LemmaSearchReduced::Run() {
   SafetyReport report;
-  ThreadPool pool(options_.search_threads);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool& pool = options_.pool != nullptr
+                         ? *options_.pool
+                         : owned_pool.emplace(options_.search_threads);
   // kCompact is rejected before dispatch (make_violation and the replay
   // read ancestor keys); kDelta + spill compose with the reduction.
   ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
@@ -855,28 +833,16 @@ Result<SafetyReport> LemmaSearchReduced::Run() {
   };
   ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
 
-  // In-level deadline machinery, as in LemmaSearchParallel: workers
-  // poll once per chunk so one oversized level cannot outrun the budget.
-  const bool has_deadline =
-      options_.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options_.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
+  ChunkDeadline chunk_deadline(options_.deadline);
 
   size_t level_begin = 0;
   while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError();
+    if (PollDeadline(options_, &report)) return DeadlineError(kCheck);
     const size_t level_end = store.size();
     const size_t level_size = level_end - level_begin;
+    // The flagged scan below runs serially, so a level reaches the pool
+    // only in its expansion windows or its commit.
+    const uint64_t level_dispatches = pool.dispatches();
 
     // Phase 1: flagged (cyclic) representatives, in id order. A cyclic
     // state reports (safe+DF), or reports-if-completable and prunes
@@ -887,7 +853,7 @@ Result<SafetyReport> LemmaSearchReduced::Run() {
       const uint32_t id = static_cast<uint32_t>(level_begin + i);
       if (i % kDeadlineStride == kDeadlineStride - 1 &&
           PollDeadline(options_, &report)) {
-        return DeadlineError();
+        return DeadlineError(kCheck);
       }
       if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
       if (options_.max_states != 0 &&
@@ -938,7 +904,7 @@ Result<SafetyReport> LemmaSearchReduced::Run() {
       pool.ParallelFor(
           wcount, kChunkStates,
           [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
+            if (chunk_deadline.Expired()) return;  // Level aborts below.
             WorkerScratch& ws = scratch[worker];
             ShardedStateStore::Staging& staging =
                 window[begin / kChunkStates];
@@ -975,10 +941,9 @@ Result<SafetyReport> LemmaSearchReduced::Run() {
         return Status::Internal("frontier spill write failed");
       }
     }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return DeadlineError();  // A partial level is never committed.
+    report.deadline_polls += chunk_deadline.TakePolls();
+    if (chunk_deadline.hit()) {
+      return DeadlineError(kCheck);  // A partial level is never committed.
     }
 
     // Phase 3: deterministic commit (canonical keys fed the shard hash;
@@ -987,6 +952,7 @@ Result<SafetyReport> LemmaSearchReduced::Run() {
     if (!stager.Commit(/*dedupe=*/true, &fresh)) {
       return Status::Internal("frontier spill read-back failed");
     }
+    if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
     level_begin = level_end;
   }
 

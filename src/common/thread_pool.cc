@@ -36,11 +36,12 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::ParallelFor(
     size_t count, size_t chunk,
-    const std::function<void(size_t, size_t, int)>& fn) {
+    const std::function<void(size_t, size_t, int)>& fn,
+    size_t inline_below) {
   if (count == 0) return;
   if (chunk == 0) chunk = 1;
   const size_t num_chunks = (count + chunk - 1) / chunk;
-  if (threads_ <= 1 || num_chunks == 1) {
+  if (threads_ <= 1 || num_chunks == 1 || count < inline_below) {
     for (size_t c = 0; c < num_chunks; ++c) {
       size_t begin = c * chunk;
       size_t end = begin + chunk < count ? begin + chunk : count;
@@ -48,6 +49,7 @@ void ThreadPool::ParallelFor(
     }
     return;
   }
+  ++dispatches_;
 
   // Deal the chunk indices out in contiguous runs, one per worker.
   const size_t per = num_chunks / threads_;

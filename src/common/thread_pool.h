@@ -15,13 +15,15 @@
 // with `threads == 1` spawns nothing and runs chunks inline — the
 // parallel engines degrade to plain serial loops with zero
 // synchronization, which is what the bit-identical cross-validation
-// tests run first.
+// tests run first. Ranges too small to repay waking the workers run
+// inline the same way (kInlineBelow; DESIGN.md §7.3).
 #ifndef WYDB_COMMON_THREAD_POOL_H_
 #define WYDB_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -45,16 +47,30 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Ranges of fewer items than this run inline on the caller (as
+  /// worker 0): waking and joining the workers costs more than such a
+  /// range saves (DESIGN.md §7.3 has the measurement).
+  static constexpr size_t kInlineBelow = 128;
+
   int threads() const { return threads_; }
 
   /// Runs fn(begin, end, worker) for every chunk range of [0, count),
   /// where chunk c is exactly [c*chunk, min((c+1)*chunk, count)).
   /// Blocks until all chunks completed. `fn` runs concurrently on
-  /// disjoint ranges; `worker` is in [0, threads()).
+  /// disjoint ranges; `worker` is in [0, threads()). A single chunk, a
+  /// one-thread pool, or `count < inline_below` runs every chunk inline
+  /// on the caller as worker 0; the chunk ranges are the same either
+  /// way. Callers whose items are individually heavy (the store's
+  /// per-shard commit) pass their own threshold.
   ///
   /// Not reentrant: one ParallelFor at a time per pool.
   void ParallelFor(size_t count, size_t chunk,
-                   const std::function<void(size_t, size_t, int)>& fn);
+                   const std::function<void(size_t, size_t, int)>& fn,
+                   size_t inline_below = kInlineBelow);
+
+  /// ParallelFor calls handed to the workers so far (inline runs are not
+  /// counted). Read it from the thread that calls ParallelFor.
+  uint64_t dispatches() const { return dispatches_; }
 
  private:
   // Per-worker deque of chunk indices [head, tail). The owner pops from
@@ -89,6 +105,7 @@ class ThreadPool {
   /// workers exit as soon as the last chunk starts executing, instead of
   /// spinning through its execution.
   std::atomic<size_t> unclaimed_{0};
+  uint64_t dispatches_ = 0;
 };
 
 /// Fixed workers draining a bounded queue of independent, long-running

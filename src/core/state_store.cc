@@ -398,9 +398,6 @@ bool ShardedStateStore::CommittedKeyEquals(uint32_t shard_idx,
 size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
                                        size_t num_chunks, ThreadPool* pool,
                                        bool dedupe) {
-  if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
-    return CommitStagedDelta(chunks, num_chunks, pool, dedupe);
-  }
   const bool compact =
       options_.encoding == StoreOptions::KeyEncoding::kCompact;
   // The retire boundary is the shard occupancy at the *first* commit
@@ -424,10 +421,35 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
   }
   if (total == 0) return 0;
   fresh_marks_.assign(total, kDuplicate);
+  // Small batches dedup on the caller. Shards are deduplicated
+  // independently and ranked below, so this changes no id.
+  if (total < kInlineCommitTuples) pool = nullptr;
 
-  // Phase 1 (parallel over shards): per-shard dedup in staging order.
-  // Shard s touches only its own arenas/table and disjoint fresh_marks_
-  // entries, so shards are embarrassingly parallel.
+  if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
+    CommitShardsDelta(chunks, num_chunks, chunk_base, pool, dedupe);
+  } else {
+    CommitShardsPlain(chunks, num_chunks, chunk_base, pool, dedupe);
+  }
+
+  // Serial rank: allocate dense global ids to the fresh states in
+  // staging order — the step that pins down the serial-identical id
+  // sequence. One word read per staged tuple.
+  const size_t before = index_.size();
+  for (size_t seq = 0; seq < total; ++seq) {
+    if (fresh_marks_[seq] != kDuplicate) index_.push_back(fresh_marks_[seq]);
+  }
+  generation_.fetch_add(1, std::memory_order_relaxed);
+  return index_.size() - before;
+}
+
+void ShardedStateStore::CommitShardsPlain(
+    std::vector<Staging>* chunks, size_t num_chunks,
+    const std::vector<size_t>& chunk_base, ThreadPool* pool, bool dedupe) {
+  const bool compact =
+      options_.encoding == StoreOptions::KeyEncoding::kCompact;
+  // Per-shard dedup in staging order. Shard s touches only its own
+  // arenas/table and disjoint fresh_marks_ entries, so shards are
+  // embarrassingly parallel.
   auto commit_shard = [&](size_t shard_begin, size_t shard_end,
                           int /*worker*/) {
     const size_t kTupleWords = static_cast<size_t>(key_words_) + aux_words_;
@@ -490,33 +512,15 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(shards_.size(), 1, commit_shard);
+    pool->ParallelFor(shards_.size(), 1, commit_shard, /*inline_below=*/0);
   } else {
     commit_shard(0, shards_.size(), 0);
   }
-
-  // Phase 2 (serial rank): allocate dense global ids to the fresh states
-  // in staging order — the step that pins down the serial-identical id
-  // sequence. One word read per staged tuple.
-  const size_t before = index_.size();
-  for (size_t seq = 0; seq < total; ++seq) {
-    if (fresh_marks_[seq] != kDuplicate) index_.push_back(fresh_marks_[seq]);
-  }
-  generation_.fetch_add(1, std::memory_order_relaxed);
-  return index_.size() - before;
 }
 
-size_t ShardedStateStore::CommitStagedDelta(std::vector<Staging>* chunks,
-                                            size_t num_chunks,
-                                            ThreadPool* pool, bool dedupe) {
-  size_t total = 0;
-  std::vector<size_t> chunk_base(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_base[c] = total;
-    total += (*chunks)[c].count_;
-  }
-  if (total == 0) return 0;
-  fresh_marks_.assign(total, kDuplicate);
+void ShardedStateStore::CommitShardsDelta(
+    std::vector<Staging>* chunks, size_t num_chunks,
+    const std::vector<size_t>& chunk_base, ThreadPool* pool, bool dedupe) {
   const int workers = pool != nullptr ? pool->threads() : 1;
   if (static_cast<int>(commit_caches_.size()) < workers) {
     commit_caches_.resize(workers);
@@ -615,20 +619,12 @@ size_t ShardedStateStore::CommitStagedDelta(std::vector<Staging>* chunks,
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(shards_.size(), 1, probe_shard);
-    pool->ParallelFor(shards_.size(), 1, append_shard);
+    pool->ParallelFor(shards_.size(), 1, probe_shard, /*inline_below=*/0);
+    pool->ParallelFor(shards_.size(), 1, append_shard, /*inline_below=*/0);
   } else {
     probe_shard(0, shards_.size(), 0);
     append_shard(0, shards_.size(), 0);
   }
-
-  // Phase 3 (serial rank), identical to the plain commit.
-  const size_t before = index_.size();
-  for (size_t seq = 0; seq < total; ++seq) {
-    if (fresh_marks_[seq] != kDuplicate) index_.push_back(fresh_marks_[seq]);
-  }
-  generation_.fetch_add(1, std::memory_order_relaxed);
-  return index_.size() - before;
 }
 
 void ShardedStateStore::RetireExpanded() {

@@ -292,6 +292,9 @@ class StateStore {
 class ShardedStateStore {
  public:
   static constexpr uint32_t kNoId = 0xFFFFFFFFu;
+  /// Commit batches of fewer staged tuples run on the caller: their
+  /// per-shard dedup is shorter than waking the pool (DESIGN.md §7.3).
+  static constexpr size_t kInlineCommitTuples = 1024;
 
   /// `num_shards` is rounded up to a power of two (minimum 1). Shard
   /// choice never affects ids — only contention and per-shard table size.
@@ -455,8 +458,9 @@ class ShardedStateStore {
   /// keys already present (in the store or earlier in the batch) are
   /// dropped; without it every staged tuple becomes a fresh state (the
   /// memoization ablation). Shard dedup runs on `pool` (may be null =
-  /// serial). Returns the number of fresh states; their ids are
-  /// [old size(), new size()), in staging order.
+  /// serial); batches of fewer than kInlineCommitTuples staged tuples
+  /// always commit on the caller. Returns the number of fresh states;
+  /// their ids are [old size(), new size()), in staging order.
   size_t CommitStaged(std::vector<Staging>* chunks, size_t num_chunks,
                       ThreadPool* pool, bool dedupe = true);
 
@@ -567,8 +571,14 @@ class ShardedStateStore {
   bool CommittedKeyEquals(uint32_t shard, uint32_t local,
                           const uint64_t* key, KeyDecodeCache* cache) const;
 
-  size_t CommitStagedDelta(std::vector<Staging>* chunks, size_t num_chunks,
-                           ThreadPool* pool, bool dedupe);
+  /// CommitStaged's per-shard dedup, which fills fresh_marks_; `pool`
+  /// is null for batches below the inline cutoff.
+  void CommitShardsPlain(std::vector<Staging>* chunks, size_t num_chunks,
+                         const std::vector<size_t>& chunk_base,
+                         ThreadPool* pool, bool dedupe);
+  void CommitShardsDelta(std::vector<Staging>* chunks, size_t num_chunks,
+                         const std::vector<size_t>& chunk_base,
+                         ThreadPool* pool, bool dedupe);
 
   const int key_words_;
   const int aux_words_;

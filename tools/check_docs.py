@@ -118,7 +118,7 @@ STATS_LINE_RE = re.compile(
     r" deadline_polls=\d+"
     r" orbits=\d+ largest_orbit=\d+ bytes_per_state=\d+(?:\.\d+)?"
     r" arena_bytes=\d+ probe_table_bytes=\d+ spilled_levels=\d+"
-    r" fingerprint_collision_bound=[0-9.eE+-]+$",
+    r" parallel_levels=\d+ fingerprint_collision_bound=[0-9.eE+-]+$",
     re.MULTILINE,
 )
 

@@ -24,7 +24,11 @@ Legs:
    each answered with an isolated error, the server still serving after;
 9. a backpressure leg: with --sessions 1, a third simultaneous
    connection is shed with an `at capacity` error while the occupied
-   session keeps its slot.
+   session keeps its slot;
+10. a plain-client latency leg: a client with default delayed ACKs (no
+   TCP_QUICKACK) sends 50 certify requests one after another; the
+   median round trip must stay under 10 ms, which a response split into
+   several small writes misses by the ~40 ms delayed-ACK timer.
 
 Usage: tools/serve_smoke.py path/to/wydb_serve path/to/wydb_analyze
 Exits nonzero with a named complaint on any mismatch.
@@ -482,6 +486,47 @@ def run_backpressure_session(serve: Path) -> None:
             proc.kill()
 
 
+def run_plain_client_latency_session(serve: Path) -> None:
+    """Leg 10: each response arrives without a delayed-ACK stall."""
+    started = start_server(serve, [])
+    if started is None:
+        complain("latency leg: could not start the server")
+        return
+    proc, port = started
+    request = f"certify\n{CERTIFIED_BASE}end\n".encode()
+    round_trips: list[float] = []
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.settimeout(30)
+            pending = b""
+            for _ in range(50):
+                start = time.perf_counter()
+                s.sendall(request)
+                while b"\n.\n" not in pending:
+                    chunk = s.recv(4096)
+                    if not chunk:
+                        complain("latency leg: server closed the stream")
+                        return
+                    pending += chunk
+                round_trips.append(time.perf_counter() - start)
+                response, pending = pending.split(b"\n.\n", 1)
+                expect(b"certified=yes" in response,
+                       f"latency leg: bad response {response!r}")
+        round_trips.sort()
+        p50_ms = round_trips[len(round_trips) // 2] * 1000
+        expect(p50_ms < 10,
+               f"latency leg: median round trip {p50_ms:.1f} ms, want "
+               f"under 10 ms (delayed-ACK stall?)")
+    except OSError as e:
+        complain(f"latency leg: {e}")
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -492,10 +537,11 @@ def main() -> int:
     run_concurrent_faults_session(serve, analyze)
     run_malformed_flood_session(serve)
     run_backpressure_session(serve)
+    run_plain_client_latency_session(serve)
     if not ERRORS:
         print("serve_smoke: OK (pipe + tcp + concurrent-fault + flood + "
-              "backpressure sessions, verdicts cross-checked against "
-              "wydb_analyze --exact)")
+              "backpressure + plain-client latency sessions, verdicts "
+              "cross-checked against wydb_analyze --exact)")
     return 1 if ERRORS else 0
 
 

@@ -20,6 +20,7 @@
 #include "analysis/multi_analyzer.h"
 #include "analysis/pair_analyzer.h"
 #include "analysis/safety_checker.h"
+#include "common/thread_pool.h"
 #include "core/schedule.h"
 #include "core/symmetry.h"
 #include "gen/system_gen.h"
@@ -61,8 +62,8 @@ Analysis options:
   --stats            print a per-check stats line (states interned,
                      sleep-set pruned expansions, symmetry orbits,
                      store bytes/state, arena and probe-table bytes,
-                     spilled levels, fingerprint collision bound);
-                     implies --exact
+                     spilled levels, levels handed to the worker pool,
+                     fingerprint collision bound); implies --exact
   --store-encoding <c>  exact-checker state-store key encoding: plain
                      (default), delta (varint parent-delta records in a
                      byte arena; same verdicts and state ids, much
@@ -987,13 +988,23 @@ int main(int argc, char** argv) {
                                                    : "incremental";
     std::printf("\nexact checks (exponential; budgets apply; %s engine):\n",
                 engine_name);
+    // One worker pool serves every check of this run, so the workers are
+    // spawned once, before the first search (DESIGN.md §7.3). The serial
+    // engines take no pool.
+    std::optional<ThreadPool> pool;
+    if (engine == SearchEngine::kParallelSharded ||
+        engine == SearchEngine::kReduced) {
+      pool.emplace(search_threads);
+    }
     DeadlockCheckOptions dopts;
     SafetyCheckOptions sopts;
     dopts.engine = engine;
     dopts.search_threads = search_threads;
+    dopts.pool = pool ? &*pool : nullptr;
     dopts.store = store;
     sopts.engine = engine;
     sopts.search_threads = search_threads;
+    sopts.pool = dopts.pool;
     sopts.store = store;
     if (max_states > 0) {
       dopts.max_states = static_cast<uint64_t>(max_states);
@@ -1019,7 +1030,8 @@ int main(int argc, char** argv) {
           "    stats: states_interned=%llu sleep_set_pruned=%llu "
           "deadline_polls=%llu orbits=%d largest_orbit=%d "
           "bytes_per_state=%.1f arena_bytes=%llu probe_table_bytes=%llu "
-          "spilled_levels=%llu fingerprint_collision_bound=%.3g\n",
+          "spilled_levels=%llu parallel_levels=%llu "
+          "fingerprint_collision_bound=%.3g\n",
           static_cast<unsigned long long>(r.states_interned),
           static_cast<unsigned long long>(r.sleep_set_pruned),
           static_cast<unsigned long long>(r.deadline_polls),
@@ -1028,6 +1040,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.arena_bytes),
           static_cast<unsigned long long>(r.probe_table_bytes),
           static_cast<unsigned long long>(r.spilled_levels),
+          static_cast<unsigned long long>(r.parallel_levels),
           r.fingerprint_collision_bound);
     };
     arm_deadline(&dopts.deadline);

@@ -14,8 +14,10 @@
 #include <set>
 #include <sstream>
 #include <streambuf>
+#include <string>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -163,10 +165,14 @@ void ShutdownActiveConns() {
   for (int fd : g_conns) ::shutdown(fd, SHUT_RDWR);
 }
 
-/// Unbuffered-write std::streambuf over a POSIX fd, enough to hand a
-/// socket to Server::ServeStream as iostreams. Retries EINTR (signal
-/// delivery must not drop request bytes); EPIPE/ECONNRESET surface as
-/// eof, which ends this session's ServeStream loop and nothing else.
+/// std::streambuf over a POSIX fd, enough to hand a socket to
+/// Server::ServeStream as iostreams. Output collects until the stream is
+/// flushed — ServeStream flushes once per response — and then leaves in
+/// one write(): written line by line, every line after the first would
+/// wait under Nagle's algorithm for the client's delayed ACK, about
+/// 40 ms per response. Retries EINTR (signal delivery must not drop
+/// request bytes); EPIPE/ECONNRESET surface as a failed flush, which
+/// ends this session's ServeStream loop and nothing else.
 class FdStreamBuf : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd) : fd_(fd) { setg(buf_, buf_, buf_); }
@@ -182,14 +188,18 @@ class FdStreamBuf : public std::streambuf {
     return traits_type::to_int_type(buf_[0]);
   }
   int overflow(int c) override {
-    if (c == traits_type::eof()) return traits_type::eof();
-    char ch = static_cast<char>(c);
-    return WriteAll(&ch, 1) ? c : traits_type::eof();
+    if (c == traits_type::eof()) return traits_type::not_eof(c);
+    out_.push_back(static_cast<char>(c));
+    return c;
   }
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    return WriteAll(s, static_cast<size_t>(n))
-               ? n
-               : 0;  // Short write = dead peer; eof the stream.
+    out_.append(s, static_cast<size_t>(n));
+    return n;
+  }
+  int sync() override {
+    const bool ok = WriteAll(out_.data(), out_.size());
+    out_.clear();
+    return ok ? 0 : -1;  // Short write = dead peer; fail the stream.
   }
 
  private:
@@ -206,6 +216,7 @@ class FdStreamBuf : public std::streambuf {
 
   int fd_;
   char buf_[4096];
+  std::string out_;  ///< The response being written, until the flush.
 };
 
 int ServeSocket(Server& server, int port, int sessions) {
@@ -247,6 +258,9 @@ int ServeSocket(Server& server, int port, int sessions) {
       ::close(conn);
       break;
     }
+    // Each response already leaves in one write; with Nagle's algorithm
+    // off it is also sent without waiting for the previous one's ACK.
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     bool queued = pool.TrySubmit([&server, conn] {
       RegisterConn(conn);
       FdStreamBuf buf(conn);
