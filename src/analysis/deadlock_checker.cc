@@ -1,17 +1,13 @@
 #include "analysis/deadlock_checker.h"
 
-#include <cmath>
 #include <cstring>
-#include <numeric>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/level_search.h"
 #include "analysis/search_deadline.h"
 #include "analysis/store_stats.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "core/frontier_spill.h"
 #include "core/reduction_graph.h"
 #include "core/state_space.h"
 #include "core/state_store.h"
@@ -219,224 +215,38 @@ Result<DeadlockReport> CheckDeadlockFreedomIncremental(
   return report;
 }
 
-// Level-synchronous parallel BFS over a ShardedStateStore (DESIGN.md §7).
-//
-// A FIFO BFS pops states in id order and ids are assigned in discovery
-// order, so the serial search is equivalent to processing the store one
-// *level* at a time. Each level runs in three steps:
-//
-//   1. Expand + check (parallel, work-stealing chunks of the level):
-//      generate each state's moves, evaluate the witness predicate
-//      (stuck state / cyclic reduction graph — both purely per-state),
-//      and stage every child into the chunk's staging buffer.
-//   2. Reduce: the minimum witness id across workers. A witness at id w
-//      reproduces the serial report exactly — the serial loop would have
-//      popped 0..w and returned, so states_visited = w+1 and the parent
-//      links of w's ancestors (all committed in earlier levels, in
-//      serial-identical order) give the same schedule.
-//   3. Commit: ShardedStateStore::CommitStaged dedups per shard in
-//      parallel and ranks fresh states in staging (= serial Intern)
-//      order.
-//
-// Budget accounting mirrors the serial pop counter arithmetically: the
-// serial loop fails at the first pop k with k+1 > max_states, so with a
-// witness at w the search fails iff w+1 > max_states, and with no
-// witness in the level it fails iff the level's last id + 1 does.
-Result<DeadlockReport> CheckDeadlockFreedomParallel(
-    const TransactionSystem& sys, const DeadlockCheckOptions& options) {
-  StateSpace space(&sys);
-  DeadlockReport report;
-
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool = options.pool != nullptr
-                         ? *options.pool
-                         : owned_pool.emplace(options.search_threads);
-  const int kw = space.words_per_state();
-  const int aw = space.aux_words();
-  ShardedStateStore store(kw, aw, /*num_shards=*/4 * pool.threads(),
-                          options.store);
-  const bool compact =
-      options.store.encoding == StoreOptions::KeyEncoding::kCompact;
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool,
-                        options.store.mem_budget_mb << 20, kChunkStates);
-
-  {
-    std::vector<uint64_t> state_buf(kw), aux_buf(aw);
-    space.InitRoot(state_buf.data(), aux_buf.data());
-    uint32_t root = store.InternRoot(state_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                aw * sizeof(uint64_t));
-  }
-
-  auto make_witness = [&](uint32_t id,
-                          std::string cycle_text) -> DeadlockWitness {
-    ShardedStateStore::KeyDecodeCache decode;
-    DeadlockWitness w;
-    w.schedule = store.PathFromRoot(id);
-    w.prefix_nodes = PrefixNodesOf(space, store.KeyView(id, &decode));
-    w.reduction_cycle = std::move(cycle_text);
-    return w;
-  };
-
-  struct WorkerScratch {
-    std::vector<uint64_t> state;
-    std::vector<uint64_t> aux;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
-    uint32_t witness = ShardedStateStore::kNoId;  ///< Min witness id seen.
-  };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.state.resize(kw);
-    s.aux.resize(aw);
-    s.moves.reserve(64);
-  }
-
-  ChunkDeadline chunk_deadline(options.deadline);
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options, &report)) return DeadlineError(kCheck);
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-    const uint64_t level_dispatches = pool.dispatches();
-    auto count_level = [&] {
-      if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
-    };
-    for (WorkerScratch& s : scratch) s.witness = ShardedStateStore::kNoId;
-    // Popping this whole level already exceeds the budget, so the serial
-    // loop can only end inside it — with a witness whose id fits the
-    // budget, or with ResourceExhausted. Children are unobservable either
-    // way; skip staging them.
-    const bool budget_ends_here =
-        options.max_states != 0 && level_end > options.max_states;
-
-    // The level is staged in bounded windows; between windows the stager
-    // may spill the staged chunks to disk (no-op without --mem-budget-mb,
-    // where the single window spans the level). Ids ascend across
-    // windows, so the first window containing a witness holds the
-    // level's minimum and later windows need not run.
-    uint32_t witness = ShardedStateStore::kNoId;
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_deadline.Expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              space.ExpandInto(store.AuxOf(id), &ws.moves);
-              bool is_witness;
-              if (options.mode == DeadlockDetectionMode::kStuckState) {
-                is_witness = ws.moves.empty() && !space.IsComplete(key);
-              } else {
-                ReductionGraph rg(space.ToPrefixSet(key));
-                is_witness = rg.HasCycle();
-              }
-              if (is_witness) {
-                // The serial loop returns here without expanding;
-                // children of later states in this level are never
-                // observed, so skipping the staging is safe (and the
-                // whole level's staged children are discarded below).
-                if (id < ws.witness) ws.witness = id;
-                continue;
-              }
-              if (budget_ends_here) continue;
-              for (GlobalNode g : ws.moves) {
-                space.ApplyInto(key, store.AuxOf(id), g, ws.state.data(),
-                                ws.aux.data());
-                store.Stage(&staging, ws.state.data(), ws.aux.data(), id, g,
-                            key);
-              }
-            }
-          });
-
-      done += wcount;
-      for (const WorkerScratch& s : scratch) {
-        witness = std::min(witness, s.witness);
-      }
-      if (witness != ShardedStateStore::kNoId) break;
-      if (!budget_ends_here && !stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls += chunk_deadline.TakePolls();
-    if (chunk_deadline.hit()) {
-      // Skipped chunks may hide the minimal witness, so an expired level
-      // reports the budget overrun, never a possibly-non-minimal witness.
-      return DeadlineError(kCheck);
-    }
-
-    if (witness != ShardedStateStore::kNoId) {
-      if (options.max_states != 0 &&
-          static_cast<uint64_t>(witness) + 1 > options.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "deadlock check exceeded %llu states",
-            static_cast<unsigned long long>(options.max_states)));
-      }
-      count_level();
-      report.states_visited = static_cast<uint64_t>(witness) + 1;
-      report.deadlock_free = false;
-      report.states_interned = store.size();
-      std::string cycle_text;
-      if (options.mode == DeadlockDetectionMode::kReductionGraph) {
-        ShardedStateStore::KeyDecodeCache decode;
-        ReductionGraph rg(
-            space.ToPrefixSet(store.KeyView(witness, &decode)));
-        cycle_text = rg.CycleToString(sys, rg.FindGlobalCycle());
-      }
-      report.witness = make_witness(witness, std::move(cycle_text));
-      FillMemoryStats(store, stager, &report);
-      return report;
-    }
-    if (options.max_states != 0 && level_end > options.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "deadlock check exceeded %llu states",
-          static_cast<unsigned long long>(options.max_states)));
-    }
-    size_t fresh = 0;
-    if (!stager.Commit(options.memoize, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    count_level();
-    // Hash compaction keeps only the frontier's key/aux words resident;
-    // everything below this level has been fully expanded.
-    if (compact) store.RetireExpanded();
-    level_begin = level_end;
-  }
-
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.deadlock_free = true;
-  FillMemoryStats(store, stager, &report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
-// Reduced engine (DESIGN.md §8): persistent-move pruning + orbit
-// canonicalization on the level-synchronous sharded substrate.
+// Level-synchronous engines (kParallelSharded, kReduced) on the one
+// LevelSearch driver (analysis/level_search.h, DESIGN.md §7-§8). Both
+// witness predicates — stuck state, cyclic reduction graph — are purely
+// per-state, so the checker is a testing visitor: the driver stops at
+// the least witness id of a level, which reproduces the serial report
+// exactly (the serial loop pops 0..w and returns).
 //
-// The search explores one representative per symmetry orbit and, per
-// state, only the persistent move subset of ExpandReducedInto. Verdicts
-// agree with the exhaustive engines (both reductions preserve the
-// reachability of terminal — stuck or complete — states, §8.4), but the
-// id sequence covers the *reduced* space, so states_visited is smaller,
-// not bit-identical. Results are still deterministic for every thread
-// count: pruning and canonicalization are per-state functions and the
-// staging-order rank fixes the ids.
+// Under kReduced the search explores one representative per symmetry
+// orbit and, per state, only the persistent moves of ExpandReducedInto.
+// Verdicts agree with the exhaustive engines (both reductions preserve
+// the reachability of terminal — stuck or complete — states, §8.4), but
+// the ids cover the *reduced* space, so states_visited is smaller, not
+// bit-identical; it is still the same for every thread count.
 // ---------------------------------------------------------------------------
+
+struct DeadlockVisitor {
+  static constexpr bool kFlagsStates = false;
+
+  // ExpandReducedInto returns an empty set only for genuinely stuck
+  // states, so the predicates hold under both expansions.
+  bool IsWitness(const uint64_t* key,
+                 const std::vector<GlobalNode>& moves) const {
+    if (mode == DeadlockDetectionMode::kStuckState) {
+      return moves.empty() && !space.IsComplete(key);
+    }
+    return ReductionGraph(space.ToPrefixSet(key)).HasCycle();
+  }
+
+  const StateSpace& space;
+  const DeadlockDetectionMode mode;
+};
 
 // Rebuilds a concrete witness from a stored path of orbit
 // representatives via the shared ReplayReducedPath permutation
@@ -474,171 +284,36 @@ DeadlockWitness MakeReducedWitness(const StateSpace& space,
   return w;
 }
 
-Result<DeadlockReport> CheckDeadlockFreedomReduced(
+Result<DeadlockReport> CheckDeadlockFreedomLevels(
     const TransactionSystem& sys, const DeadlockCheckOptions& options) {
   StateSpace space(&sys);
-  TransactionOrbits orbits(sys);
-  OrbitCanonicalizer canon(&space, &orbits, /*arc_row_words=*/0);
-  const bool canonical = orbits.HasNontrivialOrbit();
+  LevelSearch search(space, options, kCheck, space.words_per_state(),
+                     space.aux_words(), /*arc_row_words=*/0,
+                     options.memoize);
+  DeadlockVisitor visitor{space, options.mode};
+  WYDB_ASSIGN_OR_RETURN(const uint32_t witness, search.Run(visitor));
   DeadlockReport report;
-
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool = options.pool != nullptr
-                         ? *options.pool
-                         : owned_pool.emplace(options.search_threads);
-  const int kw = space.words_per_state();
-  const int aw = space.aux_words();
-  ShardedStateStore store(kw, aw, /*num_shards=*/4 * pool.threads(),
-                          options.store);
-  if (canonical) store.set_canonicalizer(&canon);
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool,
-                        options.store.mem_budget_mb << 20, kChunkStates);
-
-  {
-    std::vector<uint64_t> state_buf(kw), aux_buf(aw);
-    space.InitRoot(state_buf.data(), aux_buf.data());
-    // The empty state is its own canonical form.
-    uint32_t root = store.InternRoot(state_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                aw * sizeof(uint64_t));
+  search.FillReport(witness, &report);
+  report.deadlock_free = witness == LevelSearch::kNoId;
+  if (report.deadlock_free) return report;
+  const bool want_cycle =
+      options.mode == DeadlockDetectionMode::kReductionGraph;
+  if (search.reduced()) {
+    report.witness = MakeReducedWitness(space, search.canon(),
+                                        search.canonical(), search.store(),
+                                        witness, want_cycle);
+    return report;
   }
-
-  struct WorkerScratch {
-    std::vector<uint64_t> state;
-    std::vector<uint64_t> aux;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
-    uint32_t witness = ShardedStateStore::kNoId;
-    uint64_t pruned = 0;
-  };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.state.resize(kw);
-    s.aux.resize(aw);
-    s.moves.reserve(64);
+  ShardedStateStore::KeyDecodeCache decode;
+  const uint64_t* key = search.store().KeyView(witness, &decode);
+  DeadlockWitness w;
+  w.schedule = search.store().PathFromRoot(witness);
+  w.prefix_nodes = PrefixNodesOf(space, key);
+  if (want_cycle) {
+    ReductionGraph rg(space.ToPrefixSet(key));
+    w.reduction_cycle = rg.CycleToString(sys, rg.FindGlobalCycle());
   }
-
-  auto sum_pruned = [&] {
-    uint64_t total = 0;
-    for (const WorkerScratch& s : scratch) total += s.pruned;
-    return total;
-  };
-
-  ChunkDeadline chunk_deadline(options.deadline);
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options, &report)) return DeadlineError(kCheck);
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-    const uint64_t level_dispatches = pool.dispatches();
-    auto count_level = [&] {
-      if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
-    };
-    for (WorkerScratch& s : scratch) s.witness = ShardedStateStore::kNoId;
-    const bool budget_ends_here =
-        options.max_states != 0 && level_end > options.max_states;
-
-    uint32_t witness = ShardedStateStore::kNoId;
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_deadline.Expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              ws.pruned +=
-                  space.ExpandReducedInto(key, store.AuxOf(id), &ws.moves);
-              // ExpandReducedInto returns an empty set only for genuinely
-              // stuck states, so the witness predicates are unchanged.
-              bool is_witness;
-              if (options.mode == DeadlockDetectionMode::kStuckState) {
-                is_witness = ws.moves.empty() && !space.IsComplete(key);
-              } else {
-                ReductionGraph rg(space.ToPrefixSet(key));
-                is_witness = rg.HasCycle();
-              }
-              if (is_witness) {
-                if (id < ws.witness) ws.witness = id;
-                continue;
-              }
-              if (budget_ends_here) continue;
-              for (GlobalNode g : ws.moves) {
-                space.ApplyInto(key, store.AuxOf(id), g, ws.state.data(),
-                                ws.aux.data());
-                // The parent's stored key is already canonical, so the
-                // xor-delta relates two canonical representatives.
-                store.StageCanonical(&staging, ws.state.data(),
-                                     ws.aux.data(), id, g, key);
-              }
-            }
-          });
-
-      done += wcount;
-      for (const WorkerScratch& s : scratch) {
-        witness = std::min(witness, s.witness);
-      }
-      if (witness != ShardedStateStore::kNoId) break;
-      if (!budget_ends_here && !stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls += chunk_deadline.TakePolls();
-    if (chunk_deadline.hit()) {
-      // Skipped chunks may hide the minimal witness, so an expired level
-      // reports the budget overrun, never a possibly-non-minimal witness.
-      return DeadlineError(kCheck);
-    }
-
-    if (witness != ShardedStateStore::kNoId) {
-      if (options.max_states != 0 &&
-          static_cast<uint64_t>(witness) + 1 > options.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "deadlock check exceeded %llu states",
-            static_cast<unsigned long long>(options.max_states)));
-      }
-      count_level();
-      report.states_visited = static_cast<uint64_t>(witness) + 1;
-      report.states_interned = store.size();
-      report.sleep_set_pruned = sum_pruned();
-      report.deadlock_free = false;
-      report.witness = MakeReducedWitness(
-          space, canon, canonical, store, witness,
-          options.mode == DeadlockDetectionMode::kReductionGraph);
-      FillMemoryStats(store, stager, &report);
-      return report;
-    }
-    if (options.max_states != 0 && level_end > options.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "deadlock check exceeded %llu states",
-          static_cast<unsigned long long>(options.max_states)));
-    }
-    size_t fresh = 0;
-    if (!stager.Commit(options.memoize, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    count_level();
-    level_begin = level_end;
-  }
-
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.sleep_set_pruned = sum_pruned();
-  report.deadlock_free = true;
-  FillMemoryStats(store, stager, &report);
+  report.witness = std::move(w);
   return report;
 }
 
@@ -650,11 +325,9 @@ Result<DeadlockReport> CheckDeadlockFreedom(
   if (options.engine == SearchEngine::kNaiveReference) {
     return CheckDeadlockFreedomNaive(sys, options);
   }
-  if (options.engine == SearchEngine::kParallelSharded) {
-    return CheckDeadlockFreedomParallel(sys, options);
-  }
-  if (options.engine == SearchEngine::kReduced) {
-    return CheckDeadlockFreedomReduced(sys, options);
+  if (options.engine == SearchEngine::kParallelSharded ||
+      options.engine == SearchEngine::kReduced) {
+    return CheckDeadlockFreedomLevels(sys, options);
   }
   return CheckDeadlockFreedomIncremental(sys, options);
 }

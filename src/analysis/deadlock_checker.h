@@ -46,7 +46,8 @@ struct DeadlockCheckOptions {
   /// Expansion engine; kNaiveReference is the retained seed implementation
   /// used for cross-validation and benchmarking.
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
+  /// Worker threads for kParallelSharded and kReduced (ignored by the
+  /// serial engines).
   /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
   /// hardware concurrency. Results are identical for every value.
   int search_threads = 0;

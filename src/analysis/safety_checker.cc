@@ -2,16 +2,13 @@
 
 #include <bit>
 #include <cstring>
-#include <numeric>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/level_search.h"
 #include "analysis/search_deadline.h"
 #include "analysis/store_stats.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "core/frontier_spill.h"
 #include "core/state_space.h"
 #include "core/state_store.h"
 #include "core/symmetry.h"
@@ -498,469 +495,138 @@ Result<SafetyReport> LemmaSearchIncremental::Run() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel sharded engine (DESIGN.md §7).
+// Level-synchronous engines (kParallelSharded, kReduced) on the one
+// LevelSearch driver (analysis/level_search.h, DESIGN.md §7-§8).
 //
-// Same state encoding and incremental cycle test as LemmaSearchIncremental
-// — key [exec words | arc rows], cyclicity decided once at creation and
-// carried in the aux flag word — but driven as a level-synchronous BFS
-// over a ShardedStateStore. Because a FIFO BFS pops in id order, each
-// level is handled in serial-equivalent phases:
+// Same key [exec words | arc rows] and incremental cycle test as
+// LemmaSearchIncremental, so the checker is a flagging visitor: each
+// child's cyclicity is decided once, at creation, and carried in the aux
+// flag word. The driver hands flagged states to Resolve in id order, as
+// the serial pop meets them: for safe+DF the first is the violation; for
+// pure safety FindCompletion reports it if completable and prunes it
+// otherwise (every descendant inherits the cycle).
 //
-//   1. Flagged scan (serial, one bit per state): cyclic states in id
-//      order. For safe+DF the first one is the violation. For pure safety
-//      each runs FindCompletion exactly as the serial pop would —
-//      completable reports, uncompletable prunes — with the pop-budget
-//      guard interleaved at the flagged state's id.
-//   2. Expand (parallel, work-stealing chunks): acyclic states stage
-//      their children — exec/aux via ApplyInto, arcs copied from the
-//      parent plus the Lock arcs of the move, flag from the
-//      one-bitset-BFS self-reachability test (all per-worker scratch).
-//   3. Commit: per-shard parallel dedup, then the staging-order rank
-//      assigns serial-identical dense ids.
-class LemmaSearchParallel {
- public:
-  LemmaSearchParallel(const TransactionSystem& sys,
-                      const SafetyCheckOptions& options,
-                      bool require_complete)
-      : options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        lay_(space_) {}
+// Under kReduced the search covers the extended (state, arc-set) space.
+// Both reductions preserve the reachability of terminal extended states
+// and a cyclic arc set persists to every descendant, so the Lemma 1
+// verdicts survive (§8.4). The canonical permutation sorts orbit blocks
+// by exec content and permutes the arc matrix along; exec-block ties
+// stay in place (stable sort), which merely merges fewer states. Only a
+// reported violation pays for path reconstruction (completability is
+// permutation-invariant, so it is probed on the representative).
+// ---------------------------------------------------------------------------
 
-  Result<SafetyReport> Run();
-
- private:
-  const SafetyCheckOptions& options_;
-  const bool require_complete_;
-  StateSpace space_;
-  const LemmaKeyLayout lay_;
+struct CycleScratch {
+  std::vector<uint64_t> reach;
+  std::vector<uint64_t> frontier;
 };
 
-Result<SafetyReport> LemmaSearchParallel::Run() {
-  SafetyReport report;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool = options_.pool != nullptr
-                         ? *options_.pool
-                         : owned_pool.emplace(options_.search_threads);
-  ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
-                          /*num_shards=*/4 * pool.threads(), options_.store);
-  const bool compact =
-      options_.store.encoding == StoreOptions::KeyEncoding::kCompact;
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool, options_.store.mem_budget_mb << 20,
-                        kChunkStates);
+struct LemmaVisitor {
+  static constexpr bool kFlagsStates = true;
 
-  {
-    std::vector<uint64_t> key_buf(lay_.key_words_, 0);
-    std::vector<uint64_t> aux_buf(lay_.aux_words_, 0);
-    space_.InitRoot(key_buf.data(), aux_buf.data());
-    uint32_t root = store.InternRoot(key_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                lay_.aux_words_ * sizeof(uint64_t));
+  void FinishChild(int worker, const uint64_t* parent_key, GlobalNode g,
+                   uint64_t* key, uint64_t* aux) {
+    CycleScratch& s = scratch[worker];
+    std::memcpy(lay.Arcs(key), lay.Arcs(parent_key),
+                lay.arc_words_ * sizeof(uint64_t));
+    aux[lay.flag_word_] =
+        ApplyLockArcsAndTestCycle(space, parent_key, g, lay.row_words_,
+                                  lay.Arcs(key), s.reach, s.frontier)
+            ? 1
+            : 0;
   }
 
-  struct WorkerScratch {
-    std::vector<uint64_t> key;
-    std::vector<uint64_t> aux;
-    std::vector<uint64_t> reach;
-    std::vector<uint64_t> frontier;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
-  };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.key.resize(lay_.key_words_);
-    s.aux.resize(lay_.aux_words_);
-    s.reach.resize(lay_.row_words_);
-    s.frontier.resize(lay_.row_words_);
-    s.moves.reserve(64);
-  }
-  ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
-
-  ChunkDeadline chunk_deadline(options_.deadline);
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError(kCheck);
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-    // The flagged scan below runs serially, so a level reaches the pool
-    // only in its expansion windows or its commit.
-    const uint64_t level_dispatches = pool.dispatches();
-
-    // Phase 1: flagged (cyclic) states, in id order. Mirrors the serial
-    // pop loop: the budget check precedes the flag handling at each id.
-    for (size_t i = 0; i < level_size; ++i) {
-      const uint32_t id = static_cast<uint32_t>(level_begin + i);
-      if (i % kDeadlineStride == kDeadlineStride - 1 &&
-          PollDeadline(options_, &report)) {
-        return DeadlineError(kCheck);
-      }
-      if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
-      if (options_.max_states != 0 &&
-          static_cast<uint64_t>(id) + 1 > options_.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "safety check exceeded %llu states",
-            static_cast<unsigned long long>(options_.max_states)));
-      }
-      std::vector<NodeId> cycle =
-          FindCycle(lay_.ArcsDigraph(store.KeyView(id, &decode)));
-      Schedule sched = store.PathFromRoot(id);
-      if (!require_complete_) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      auto completion = space_.FindCompletion(
-          lay_.ExecOf(store.KeyView(id, &decode)), options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        sched.insert(sched.end(), (*completion)->begin(),
-                     (*completion)->end());
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      // Uncompletable: pruned, like the serial `continue`.
-    }
-    if (options_.max_states != 0 && level_end > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-
-    // Phase 2: expand the acyclic states of the level, in bounded
-    // windows; between windows the stager may spill the staged chunks to
-    // disk (no-op without --mem-budget-mb, where the single window spans
-    // the level).
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_deadline.Expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              if ((store.AuxOf(id)[lay_.flag_word_] & 1) != 0) {
-                continue;  // Pruned.
-              }
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              space_.ExpandInto(store.AuxOf(id), &ws.moves);
-              for (GlobalNode g : ws.moves) {
-                space_.ApplyInto(key, store.AuxOf(id), g, ws.key.data(),
-                                 ws.aux.data());
-                std::memcpy(lay_.Arcs(ws.key.data()), lay_.Arcs(key),
-                            lay_.arc_words_ * sizeof(uint64_t));
-                ws.aux[lay_.flag_word_] = 0;
-                if (ApplyLockArcsAndTestCycle(space_, key, g,
-                                              lay_.row_words_,
-                                              lay_.Arcs(ws.key.data()),
-                                              ws.reach, ws.frontier)) {
-                  ws.aux[lay_.flag_word_] |= 1;
-                }
-                store.Stage(&staging, ws.key.data(), ws.aux.data(), id, g,
-                            key);
-              }
-            }
-          });
-
-      done += wcount;
-      if (!stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls += chunk_deadline.TakePolls();
-    if (chunk_deadline.hit()) {
-      return DeadlineError(kCheck);  // A partial level is never committed.
-    }
-
-    // Phase 3: deterministic commit (replayed from disk if spilled).
-    size_t fresh = 0;
-    if (!stager.Commit(/*dedupe=*/true, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
-    // Hash compaction keeps only the frontier's key/aux words resident;
-    // everything below this level has been fully expanded.
-    if (compact) store.RetireExpanded();
-    level_begin = level_end;
+  bool Flagged(const uint64_t* aux) const {
+    return (aux[lay.flag_word_] & 1) != 0;
   }
 
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.holds = true;
-  FillMemoryStats(store, stager, &report);
-  return report;
+  Result<bool> Resolve(const uint64_t* key) {
+    if (!require_complete) return true;
+    auto found = space.FindCompletion(lay.ExecOf(key), max_states);
+    if (!found.ok()) return found.status();
+    if (!found->has_value()) return false;  // Uncompletable: pruned.
+    completion = std::move(**found);
+    return true;
+  }
+
+  const StateSpace& space;
+  const LemmaKeyLayout& lay;
+  const uint64_t max_states;
+  const bool require_complete;
+  std::vector<CycleScratch> scratch;  ///< One per worker.
+  Schedule completion;  ///< Pure safety: the stopping state's completion.
+};
+
+// Builds the concrete violation for a flagged representative: replay
+// the path via the shared permutation composition (core/symmetry,
+// DESIGN.md §8.3), permute the stored arc matrix through the final
+// tau, and report a cycle of the *concrete* digraph.
+SafetyViolation MakeReducedViolation(const StateSpace& space,
+                                     const LemmaKeyLayout& lay,
+                                     const LevelSearch& search, uint32_t id,
+                                     const Schedule& extra) {
+  const ShardedStateStore& store = search.store();
+  Schedule sched;
+  std::vector<int> tau;
+  ReplayReducedPath(
+      store, id, search.canon(), search.canonical(), space, lay.key_words_,
+      [&](const uint64_t* parent_key, GlobalNode g, uint64_t* child_key) {
+        // Pre-canonical child = parent representative + move: the exec
+        // bit and the §5 lock arcs, exactly as the search staged it.
+        std::memcpy(child_key, parent_key, lay.key_words_ * sizeof(uint64_t));
+        const int bit = space.txn_word_offset(g.txn) * 64 + g.node;
+        child_key[bit / 64] |= 1ULL << (bit % 64);
+        ApplyLockArcs(space, parent_key, g, lay.row_words_,
+                      lay.Arcs(child_key));
+      },
+      &sched, &tau);
+  for (GlobalNode g : extra) sched.push_back(GlobalNode{tau[g.txn], g.node});
+  Digraph concrete(lay.n_);
+  ShardedStateStore::KeyDecodeCache vdecode;
+  const uint64_t* arcs = lay.Arcs(store.KeyView(id, &vdecode));
+  for (int i = 0; i < lay.n_; ++i) {
+    for (int j = 0; j < lay.n_; ++j) {
+      if (i != j &&
+          ((arcs[i * lay.row_words_ + j / 64] >> (j % 64)) & 1) != 0) {
+        concrete.AddArc(tau[i], tau[j]);
+      }
+    }
+  }
+  std::vector<NodeId> cycle = FindCycle(concrete);
+  return SafetyViolation{std::move(sched),
+                         std::vector<int>(cycle.begin(), cycle.end())};
 }
 
-// ---------------------------------------------------------------------------
-// Reduced engine (DESIGN.md §8): persistent-move pruning + orbit
-// canonicalization over the extended (state, arc-set) space, on the
-// level-synchronous sharded substrate. Both reductions preserve the
-// reachability of terminal extended states, and a cyclic arc set
-// persists to every descendant, so the Lemma 1 verdicts survive (§8.4).
-// The canonical permutation sorts orbit blocks by exec content and
-// permutes the arc matrix rows/columns along; exec-block ties are left
-// in place (stable sort), which merely merges fewer states — every merge
-// is through a genuine system automorphism.
-// ---------------------------------------------------------------------------
-
-class LemmaSearchReduced {
- public:
-  LemmaSearchReduced(const TransactionSystem& sys,
-                     const SafetyCheckOptions& options, bool require_complete)
-      : options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        lay_(space_),
-        orbits_(sys),
-        canon_(&space_, &orbits_, lay_.row_words_) {}
-
-  Result<SafetyReport> Run();
-
- private:
-  const SafetyCheckOptions& options_;
-  const bool require_complete_;
-  StateSpace space_;
-  const LemmaKeyLayout lay_;
-  const TransactionOrbits orbits_;
-  const OrbitCanonicalizer canon_;
-};
-
-Result<SafetyReport> LemmaSearchReduced::Run() {
+Result<SafetyReport> LemmaSearchLevels(const TransactionSystem& sys,
+                                       const SafetyCheckOptions& options,
+                                       bool require_complete) {
+  StateSpace space(&sys);
+  const LemmaKeyLayout lay(space);
+  LevelSearch search(space, options, kCheck, lay.key_words_, lay.aux_words_,
+                     lay.row_words_);
+  const CycleScratch blank{std::vector<uint64_t>(lay.row_words_),
+                           std::vector<uint64_t>(lay.row_words_)};
+  LemmaVisitor visitor{space, lay, options.max_states, require_complete,
+                       std::vector<CycleScratch>(search.threads(), blank),
+                       /*completion=*/{}};
+  WYDB_ASSIGN_OR_RETURN(const uint32_t stop, search.Run(visitor));
   SafetyReport report;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool& pool = options_.pool != nullptr
-                         ? *options_.pool
-                         : owned_pool.emplace(options_.search_threads);
-  // kCompact is rejected before dispatch (make_violation and the replay
-  // read ancestor keys); kDelta + spill compose with the reduction.
-  ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
-                          /*num_shards=*/4 * pool.threads(), options_.store);
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool, options_.store.mem_budget_mb << 20,
-                        kChunkStates);
-  if (orbits_.HasNontrivialOrbit()) store.set_canonicalizer(&canon_);
-
-  {
-    std::vector<uint64_t> key_buf(lay_.key_words_, 0);
-    std::vector<uint64_t> aux_buf(lay_.aux_words_, 0);
-    space_.InitRoot(key_buf.data(), aux_buf.data());
-    uint32_t root = store.InternRoot(key_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                lay_.aux_words_ * sizeof(uint64_t));
+  search.FillReport(stop, &report);
+  report.holds = stop == LevelSearch::kNoId;
+  if (report.holds) return report;
+  if (search.reduced()) {
+    report.violation =
+        MakeReducedViolation(space, lay, search, stop, visitor.completion);
+    return report;
   }
-
-  // Builds the concrete violation for a flagged representative: replay
-  // the path via the shared permutation composition (core/symmetry,
-  // DESIGN.md §8.3), permute the stored arc matrix through the final
-  // tau, and report a cycle of the *concrete* digraph.
-  auto make_violation = [&](uint32_t id,
-                            const Schedule& extra) -> SafetyViolation {
-    Schedule sched;
-    std::vector<int> tau;
-    ReplayReducedPath(
-        store, id, canon_, orbits_.HasNontrivialOrbit(), space_,
-        lay_.key_words_,
-        [&](const uint64_t* parent_key, GlobalNode g, uint64_t* child_key) {
-          // Pre-canonical child = parent representative + move: the exec
-          // bit and the §5 lock arcs, exactly as the search staged it.
-          std::memcpy(child_key, parent_key,
-                      lay_.key_words_ * sizeof(uint64_t));
-          const int bit = space_.txn_word_offset(g.txn) * 64 + g.node;
-          child_key[bit / 64] |= 1ULL << (bit % 64);
-          ApplyLockArcs(space_, parent_key, g, lay_.row_words_,
-                        lay_.Arcs(child_key));
-        },
-        &sched, &tau);
-    for (GlobalNode g : extra) sched.push_back(GlobalNode{tau[g.txn], g.node});
-    Digraph concrete(lay_.n_);
-    ShardedStateStore::KeyDecodeCache vdecode;
-    const uint64_t* arcs = lay_.Arcs(store.KeyView(id, &vdecode));
-    for (int i = 0; i < lay_.n_; ++i) {
-      for (int j = 0; j < lay_.n_; ++j) {
-        if (i != j &&
-            ((arcs[i * lay_.row_words_ + j / 64] >> (j % 64)) & 1) != 0) {
-          concrete.AddArc(tau[i], tau[j]);
-        }
-      }
-    }
-    std::vector<NodeId> cycle = FindCycle(concrete);
-    return SafetyViolation{std::move(sched),
-                           std::vector<int>(cycle.begin(), cycle.end())};
-  };
-
-  struct WorkerScratch {
-    std::vector<uint64_t> key;
-    std::vector<uint64_t> aux;
-    std::vector<uint64_t> reach;
-    std::vector<uint64_t> frontier;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
-    uint64_t pruned = 0;
-  };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.key.resize(lay_.key_words_);
-    s.aux.resize(lay_.aux_words_);
-    s.reach.resize(lay_.row_words_);
-    s.frontier.resize(lay_.row_words_);
-    s.moves.reserve(64);
-  }
-
-  auto sum_pruned = [&] {
-    uint64_t total = 0;
-    for (const WorkerScratch& s : scratch) total += s.pruned;
-    return total;
-  };
-  ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
-
-  ChunkDeadline chunk_deadline(options_.deadline);
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError(kCheck);
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-    // The flagged scan below runs serially, so a level reaches the pool
-    // only in its expansion windows or its commit.
-    const uint64_t level_dispatches = pool.dispatches();
-
-    // Phase 1: flagged (cyclic) representatives, in id order. A cyclic
-    // state reports (safe+DF), or reports-if-completable and prunes
-    // otherwise (pure safety) — completability is permutation-invariant,
-    // so it is probed on the representative and only a reported
-    // violation pays for path reconstruction.
-    for (size_t i = 0; i < level_size; ++i) {
-      const uint32_t id = static_cast<uint32_t>(level_begin + i);
-      if (i % kDeadlineStride == kDeadlineStride - 1 &&
-          PollDeadline(options_, &report)) {
-        return DeadlineError(kCheck);
-      }
-      if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
-      if (options_.max_states != 0 &&
-          static_cast<uint64_t>(id) + 1 > options_.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "safety check exceeded %llu states",
-            static_cast<unsigned long long>(options_.max_states)));
-      }
-      if (!require_complete_) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.states_interned = store.size();
-        report.sleep_set_pruned = sum_pruned();
-        report.holds = false;
-        report.violation = make_violation(id, Schedule{});
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      auto completion = space_.FindCompletion(
-          lay_.ExecOf(store.KeyView(id, &decode)), options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.states_interned = store.size();
-        report.sleep_set_pruned = sum_pruned();
-        report.holds = false;
-        report.violation = make_violation(id, **completion);
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      // Uncompletable: no descendant reaches a complete schedule, and
-      // they all inherit the cycle — prune the subtree.
-    }
-    if (options_.max_states != 0 && level_end > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-
-    // Phase 2: reduced expansion of the acyclic representatives, in
-    // bounded windows (spilled between windows under --mem-budget-mb).
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_deadline.Expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              if ((store.AuxOf(id)[lay_.flag_word_] & 1) != 0) continue;
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              ws.pruned +=
-                  space_.ExpandReducedInto(key, store.AuxOf(id), &ws.moves);
-              for (GlobalNode g : ws.moves) {
-                space_.ApplyInto(key, store.AuxOf(id), g, ws.key.data(),
-                                 ws.aux.data());
-                std::memcpy(lay_.Arcs(ws.key.data()), lay_.Arcs(key),
-                            lay_.arc_words_ * sizeof(uint64_t));
-                ws.aux[lay_.flag_word_] = 0;
-                if (ApplyLockArcsAndTestCycle(space_, key, g,
-                                              lay_.row_words_,
-                                              lay_.Arcs(ws.key.data()),
-                                              ws.reach, ws.frontier)) {
-                  ws.aux[lay_.flag_word_] |= 1;
-                }
-                // The parent's stored key is already canonical, so the
-                // xor-delta record relates two canonical representatives.
-                store.StageCanonical(&staging, ws.key.data(), ws.aux.data(),
-                                     id, g, key);
-              }
-            }
-          });
-
-      done += wcount;
-      if (!stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls += chunk_deadline.TakePolls();
-    if (chunk_deadline.hit()) {
-      return DeadlineError(kCheck);  // A partial level is never committed.
-    }
-
-    // Phase 3: deterministic commit (canonical keys fed the shard hash;
-    // replayed from disk if spilled).
-    size_t fresh = 0;
-    if (!stager.Commit(/*dedupe=*/true, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    if (pool.dispatches() != level_dispatches) ++report.parallel_levels;
-    level_begin = level_end;
-  }
-
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.sleep_set_pruned = sum_pruned();
-  report.holds = true;
-  FillMemoryStats(store, stager, &report);
+  ShardedStateStore::KeyDecodeCache decode;
+  std::vector<NodeId> cycle =
+      FindCycle(lay.ArcsDigraph(search.store().KeyView(stop, &decode)));
+  Schedule sched = search.store().PathFromRoot(stop);
+  sched.insert(sched.end(), visitor.completion.begin(),
+               visitor.completion.end());
+  report.violation = SafetyViolation{
+      std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
   return report;
 }
 
@@ -987,13 +653,9 @@ Result<SafetyReport> RunSearch(const TransactionSystem& sys,
     LemmaSearchNaive search(sys, options, require_complete);
     return search.Run();
   }
-  if (options.engine == SearchEngine::kParallelSharded) {
-    LemmaSearchParallel search(sys, options, require_complete);
-    return search.Run();
-  }
-  if (options.engine == SearchEngine::kReduced) {
-    LemmaSearchReduced search(sys, options, require_complete);
-    return search.Run();
+  if (options.engine == SearchEngine::kParallelSharded ||
+      options.engine == SearchEngine::kReduced) {
+    return LemmaSearchLevels(sys, options, require_complete);
   }
   LemmaSearchIncremental search(sys, options, require_complete);
   return search.Run();

@@ -32,7 +32,8 @@ struct SafetyCheckOptions {
   /// Expansion engine; kNaiveReference is the retained seed implementation
   /// used for cross-validation and benchmarking.
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
+  /// Worker threads for kParallelSharded and kReduced (ignored by the
+  /// serial engines).
   /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
   /// hardware concurrency. Results are identical for every value.
   int search_threads = 0;
@@ -49,8 +50,8 @@ struct SafetyCheckOptions {
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
   /// Overruns return ResourceExhausted, like max_states. Checked every
-  /// ~2048 popped states by the serial engines and once per BFS level by
-  /// the level-synchronous ones.
+  /// ~2048 popped states by the serial engines and once per worker chunk
+  /// by the level-synchronous ones.
   std::chrono::steady_clock::time_point deadline{};
   /// Incremental-recertification gate (docs/SERVE.md): when >= 0, names
   /// a transaction T such that the system minus T is already known safe

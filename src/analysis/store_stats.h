@@ -5,35 +5,14 @@
 #ifndef WYDB_ANALYSIS_STORE_STATS_H_
 #define WYDB_ANALYSIS_STORE_STATS_H_
 
-#include <cmath>
-
 #include "analysis/search_engine.h"
 #include "common/status.h"
-#include "core/frontier_spill.h"
 #include "core/state_store.h"
 
 namespace wydb {
 
-// Fills the --stats memory counters of `report` from the search store
-// and stager; must run at every return point (the arenas are live then).
-template <typename Report>
-void FillMemoryStats(const ShardedStateStore& store,
-                     const FrontierStager& stager, Report* report) {
-  const StoreMemoryStats m = store.MemoryStats();
-  report->store_bytes = m.total();
-  report->arena_bytes = m.arena_bytes;
-  report->probe_table_bytes = m.probe_bytes;
-  report->spilled_levels = stager.spilled_levels();
-  if (store.options().encoding == StoreOptions::KeyEncoding::kCompact) {
-    // Fingerprint identity can merge distinct states, so a positive
-    // verdict is not a certificate; the expected number of colliding
-    // pairs among n 64-bit fingerprints is <= n(n-1)/2^65.
-    report->exact = false;
-    const double n = static_cast<double>(store.size());
-    report->fingerprint_collision_bound = std::ldexp(n * (n - 1.0), -65);
-  }
-}
-
+// Fills the --stats memory counters of `report` from a serial engine's
+// store; LevelSearch::FillReport fills them for the sharded engines.
 template <typename Report>
 void FillMemoryStats(const StateStore& store, Report* report) {
   const StoreMemoryStats m = store.MemoryStats();

@@ -76,19 +76,6 @@ StateStore::InternResult StateStore::Intern(const uint64_t* key,
   return InternResult{id, true};
 }
 
-StateStore::InternResult StateStore::InternCanonical(uint64_t* key,
-                                                     uint64_t* aux,
-                                                     uint32_t parent,
-                                                     GlobalNode move) {
-  if (canonicalizer_ != nullptr) canonicalizer_->Canonicalize(key, aux);
-  InternResult r = Intern(key, parent, move);
-  if (r.inserted && aux_words_ > 0) {
-    std::memcpy(aux_.data() + static_cast<size_t>(r.id) * aux_words_, aux,
-                aux_words_ * sizeof(uint64_t));
-  }
-  return r;
-}
-
 uint32_t StateStore::Append(const uint64_t* key, uint32_t parent,
                             GlobalNode move) {
   uint32_t id = static_cast<uint32_t>(parents_.size());

@@ -172,20 +172,6 @@ class StateStore {
   InternResult Intern(const uint64_t* key, uint32_t parent = kNoId,
                       GlobalNode move = GlobalNode{-1, -1});
 
-  /// Installs (or clears, with null) the canonical-key hook used by
-  /// InternCanonical. The store does not own the canonicalizer.
-  void set_canonicalizer(const KeyCanonicalizer* canonicalizer) {
-    canonicalizer_ = canonicalizer;
-  }
-
-  /// Canonicalizes `key`/`aux` in place through the installed hook (a
-  /// no-op without one), then interns the canonical key; on fresh
-  /// insertion the aux region is filled from `aux` (instead of the
-  /// zero-fill of plain Intern). `aux` must hold aux_words() words.
-  InternResult InternCanonical(uint64_t* key, uint64_t* aux,
-                               uint32_t parent = kNoId,
-                               GlobalNode move = GlobalNode{-1, -1});
-
   /// Appends without deduplication (memoization ablation); the hash table
   /// is bypassed entirely. Do not mix with Intern on the same store.
   uint32_t Append(const uint64_t* key, uint32_t parent = kNoId,
@@ -248,7 +234,6 @@ class StateStore {
 
   const int key_words_;
   const int aux_words_;
-  const KeyCanonicalizer* canonicalizer_ = nullptr;
   std::vector<uint64_t> keys_;       ///< size() * key_words_ words.
   std::vector<uint64_t> aux_;        ///< size() * aux_words_ words.
   std::vector<ParentLink> parents_;  ///< One per id.

@@ -123,11 +123,14 @@ void LockManager::Request(int txn, EntityId entity, LockMode mode,
     return;
   }
 
-  // FIFO fairness: even a compatible shared request queues behind queued
-  // waiters, so a stream of readers cannot starve a writer.
+  // A shared request is granted whenever no transaction holds x
+  // exclusively, queued waiters or not: the paper's model has no queue,
+  // and parking a compatible S behind a queued X creates deadlocks the
+  // certifier cannot see (DESIGN.md §11.5). X requests queue FIFO.
   const bool grantable =
-      state.head == -1 && state.holder == -1 &&
-      (mode == LockMode::kShared || state.sharer_head == -1);
+      state.holder == -1 &&
+      (mode == LockMode::kShared ||
+       (state.head == -1 && state.sharer_head == -1));
   if (grantable) {
     if (mode == LockMode::kShared) {
       AddSharer(state, txn);
@@ -136,6 +139,11 @@ void LockManager::Request(int txn, EntityId entity, LockMode mode,
       state.holder = txn;
     }
     EmitGrant(entity, Waiter{txn, node, attempt, -1, mode, false});
+    // The new sharer is a new holder for every queued waiter: re-emit
+    // their block records so the policy is applied against it too.
+    for (int32_t w = state.head; w != -1; w = pool_[w].next) {
+      EmitBlocksAgainstHolders(entity, pool_[w].txn);
+    }
     return;
   }
   int32_t idx = AllocWaiter(txn, node, attempt, mode, /*upgrade=*/false);
@@ -161,42 +169,41 @@ void LockManager::Release(int txn, EntityId entity) {
 void LockManager::GrantHead(EntityId entity) {
   LockState& state = table_[entity];
   bool granted_any = false;
-  while (state.head != -1) {
-    const int32_t idx = state.head;
-    const Waiter& w = pool_[idx];
+  // While no one holds x exclusively, every queued S is grantable, not
+  // only a leading run of them; an X (or an upgrade, promotable once its
+  // txn is the sole sharer) ends the scan when granted.
+  int32_t prev = -1;
+  for (int32_t idx = state.head; idx != -1 && state.holder == -1;) {
+    const Waiter w = pool_[idx];  // A copy: AddSharer may grow pool_.
+    const bool grant = w.upgrade ? SoleSharerIs(state, w.txn)
+                       : w.mode == LockMode::kExclusive
+                           ? state.sharer_head == -1
+                           : true;
+    if (!grant) {
+      prev = idx;
+      idx = w.next;
+      continue;
+    }
+    if (prev == -1) {
+      state.head = w.next;
+    } else {
+      pool_[prev].next = w.next;
+    }
+    if (state.tail == idx) state.tail = prev;
     if (w.upgrade) {
-      // Promotable only once every other sharer is gone.
-      if (state.holder != -1 || !SoleSharerIs(state, w.txn)) break;
-      state.head = w.next;
-      if (state.head == -1) state.tail = -1;
-      RemoveSharer(state, pool_[idx].txn);
-      state.holder = pool_[idx].txn;
+      RemoveSharer(state, w.txn);
+      state.holder = w.txn;
       ++upgrades_;
-      EmitGrant(entity, pool_[idx]);
-      FreeWaiter(idx);
-      granted_any = true;
-      break;  // Exclusive now: nothing further is grantable.
+    } else if (w.mode == LockMode::kExclusive) {
+      state.holder = w.txn;
+    } else {
+      AddSharer(state, w.txn);
+      ++shared_grants_;
     }
-    if (w.mode == LockMode::kExclusive) {
-      if (state.holder != -1 || state.sharer_head != -1) break;
-      state.head = w.next;
-      if (state.head == -1) state.tail = -1;
-      state.holder = pool_[idx].txn;
-      EmitGrant(entity, pool_[idx]);
-      FreeWaiter(idx);
-      granted_any = true;
-      break;
-    }
-    // Shared: compatible with existing sharers; batch the consecutive
-    // shared prefix of the queue in one go.
-    if (state.holder != -1) break;
-    state.head = w.next;
-    if (state.head == -1) state.tail = -1;
-    AddSharer(state, pool_[idx].txn);
-    ++shared_grants_;
-    EmitGrant(entity, pool_[idx]);
+    EmitGrant(entity, w);
     FreeWaiter(idx);
     granted_any = true;
+    idx = w.next;
   }
   if (!granted_any) return;
   // Holdership changed: re-emit block records for the remaining waiters so

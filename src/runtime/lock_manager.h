@@ -10,10 +10,12 @@
 // std::function grant/block hooks.
 //
 // Mode semantics (DESIGN.md §11): any number of shared holders OR one
-// exclusive holder. Queueing is FIFO-fair: a shared request behind a
-// queued exclusive waiter queues too (no reader starvation), and a freed
-// entity grants the maximal consecutive shared prefix of its queue in one
-// batch. An S->X upgrade keeps its shared hold and jumps to the queue
+// exclusive holder. A shared request is granted whenever no transaction
+// holds the entity exclusively, even past queued exclusive waiters — the
+// paper's model has no queue, and a queue rule that parks a compatible S
+// creates deadlocks the static certifier cannot see (DESIGN.md §11.5).
+// Exclusive requests queue FIFO, and a freed entity grants one X or every
+// queued S. An S->X upgrade keeps its shared hold and jumps to the queue
 // HEAD; it is promoted the moment it is the sole remaining sharer. Two
 // sharers upgrading the same entity therefore deadlock on each other —
 // visible to the caller as wait-for edges (each waits on every
@@ -158,8 +160,8 @@ class LockManager {
   bool RemoveSharer(LockState& state, int txn);
   bool IsSharer(const LockState& state, int txn) const;
   bool SoleSharerIs(const LockState& state, int txn) const;
-  /// Grants the maximal compatible prefix of `entity`'s queue (a single X,
-  /// a promotable upgrade, or a consecutive batch of S requests) and
+  /// Grants what `entity`'s queue allows (the first grantable X or
+  /// promotable upgrade, or every queued S while no one holds X) and
   /// re-emits kBlock for the remaining waiters against the new holders.
   void GrantHead(EntityId entity);
   void EmitGrant(EntityId entity, const Waiter& w);

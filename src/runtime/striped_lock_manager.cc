@@ -105,44 +105,45 @@ void StripedLockManager::GrantHead(Entry& entry,
                                    std::vector<int>* wounds) {
   WYDB_DCHECK(entry.holder < 0);
   bool granted_any = false;
-  while (entry.head >= 0) {
-    const int winner = entry.head;
-    WaitNode& node = nodes_[winner];
-    if (node.upgrading) {
-      // Promotable only once the upgrader is the sole remaining sharer.
-      if (entry.sharers.size() != 1 || entry.sharers[0] != winner) break;
-      entry.head = node.next;
-      if (entry.head < 0) entry.tail = -1;
-      node.next = -1;
-      entry.sharers.clear();
-      entry.holder = winner;
-      node.granted = 1;
-      node.cv.notify_one();
-      granted_any = true;
-      break;  // Exclusive now: nothing further is grantable.
+  // While no one holds X, every queued S is grantable, not only a leading
+  // run of them; an X (or an upgrade, promotable once it is the sole
+  // remaining sharer) ends the scan when granted.
+  int32_t prev = -1;
+  for (int32_t w = entry.head; w >= 0 && entry.holder < 0;) {
+    WaitNode& node = nodes_[w];
+    const int32_t next = node.next;
+    const bool grant =
+        node.upgrading ? entry.sharers.size() == 1 && entry.sharers[0] == w
+        : node.mode == LockMode::kExclusive ? entry.sharers.empty()
+                                            : true;
+    if (!grant) {
+      prev = w;
+      w = next;
+      continue;
     }
-    if (node.mode == LockMode::kExclusive) {
-      if (!entry.sharers.empty()) break;
-      entry.head = node.next;
-      if (entry.head < 0) entry.tail = -1;
-      node.next = -1;
-      entry.holder = winner;
-      node.granted = 1;
-      node.cv.notify_one();
-      granted_any = true;
-      break;
+    if (prev < 0) {
+      entry.head = next;
+    } else {
+      nodes_[prev].next = next;
     }
-    // Shared: compatible with existing sharers; grant the whole
-    // consecutive shared prefix of the queue in one batch.
-    entry.head = node.next;
-    if (entry.head < 0) entry.tail = -1;
+    if (entry.tail == w) entry.tail = prev;
     node.next = -1;
-    entry.sharers.push_back(winner);
+    if (node.mode == LockMode::kExclusive) {
+      entry.sharers.clear();  // An upgrader's own shared hold.
+      entry.holder = w;
+    } else {
+      entry.sharers.push_back(w);
+    }
     node.granted = 1;
     node.cv.notify_one();
     granted_any = true;
+    w = next;
   }
-  if (!granted_any) return;
+  if (granted_any) ReapplyPolicy(entry, wounds);
+}
+
+void StripedLockManager::ReapplyPolicy(Entry& entry,
+                                       std::vector<int>* wounds) {
   // Holdership changed: the timestamp policies must be re-applied for the
   // remaining waiters against the NEW holders (the flat LockManager's
   // grant-echo idiom). An older wound-wait waiter wounds the fresh
@@ -212,19 +213,28 @@ StripedLockManager::AcquireStatus StripedLockManager::Acquire(int txn,
     return AcquireStatus::kGranted;
   }
   if (!upgrading) {
-    // FIFO fairness: even a compatible shared request queues behind
-    // queued waiters, so a stream of readers cannot starve a writer.
+    // A shared request is granted whenever no transaction holds X, queued
+    // waiters or not: the paper's model has no queue, and parking a
+    // compatible S behind a queued X creates deadlocks the certifier
+    // cannot see (DESIGN.md §11.5). X requests queue FIFO.
     const bool grantable =
-        entry.holder < 0 && entry.head < 0 &&
-        (mode == LockMode::kShared || entry.sharers.empty());
+        entry.holder < 0 &&
+        (mode == LockMode::kShared ||
+         (entry.head < 0 && entry.sharers.empty()));
     if (grantable) {
-      if (mode == LockMode::kShared) {
-        entry.sharers.push_back(txn);
-        shared_grants_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        entry.holder = txn;
-      }
       grants_.fetch_add(1, std::memory_order_relaxed);
+      if (mode == LockMode::kExclusive) {
+        entry.holder = txn;
+        return AcquireStatus::kGranted;
+      }
+      entry.sharers.push_back(txn);
+      shared_grants_.fetch_add(1, std::memory_order_relaxed);
+      if (entry.head < 0) return AcquireStatus::kGranted;
+      // The new sharer is a new holder for every queued waiter.
+      std::vector<int> wounds;
+      ReapplyPolicy(entry, &wounds);
+      lk.unlock();
+      for (int b : wounds) WakeIfParked(b);
       return AcquireStatus::kGranted;
     }
   }
@@ -245,10 +255,10 @@ StripedLockManager::AcquireStatus StripedLockManager::Acquire(int txn,
     } else if (mode == LockMode::kExclusive && !entry.sharers.empty()) {
       blockers = entry.sharers;
     } else {
-      // Free entity but a non-empty queue (transient, between a release
-      // and the winner waking, or an S request behind a queued X): FIFO
-      // order still applies — resolve against the queue head, the txn
-      // about to become holder.
+      // Free entity but a non-empty queue (an X request, transiently
+      // between a release and the winner waking): FIFO order still
+      // applies — resolve against the queue head, the txn about to
+      // become holder.
       blockers.push_back(entry.head);
     }
     bool requester_dies = false;

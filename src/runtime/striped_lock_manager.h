@@ -16,15 +16,16 @@
 //     transactions it grants (no thundering herd).
 //
 // Lock modes (DESIGN.md §11): any number of shared holders OR one
-// exclusive holder per entity. Queueing is FIFO-fair — a shared request
-// behind a queued exclusive waiter queues too (no reader starvation) —
-// and a freed entity grants the maximal consecutive shared prefix of its
-// queue in one batch. An S->X upgrade keeps its shared hold and jumps to
-// the queue HEAD; it is promoted the moment it is the sole remaining
-// sharer. Two sharers upgrading the same entity deadlock on each other:
-// the timestamp policies resolve it by aborting one side up front, and
-// kDetect sees the cycle because wait-for edges run to EVERY conflicting
-// holder (an upgrader never waits on itself).
+// exclusive holder per entity. A shared request is granted whenever no
+// transaction holds X, even past queued exclusive waiters (the paper's
+// model has no queue; DESIGN.md §11.5); exclusive requests queue FIFO,
+// and a freed entity grants one X or every queued S. An S->X upgrade
+// keeps its shared hold and jumps to the queue HEAD; it is promoted the
+// moment it is the sole remaining sharer. Two sharers upgrading the
+// same entity deadlock on each other: the timestamp policies resolve it
+// by aborting one side up front, and kDetect sees the cycle because
+// wait-for edges run to EVERY conflicting holder (an upgrader never
+// waits on itself).
 //
 // Conflict policies:
 //   * kBlock is the paper's certified fast path: a conflicting request
@@ -218,14 +219,18 @@ class StripedLockManager {
   void Unlink(Entry& entry, int txn);
   bool IsSharer(const Entry& entry, int txn) const;
   bool RemoveSharer(Entry& entry, int txn);
-  /// Grants the maximal compatible prefix of the queue (one X, a
-  /// promotable upgrade, or a consecutive batch of S requests), wakes the
+  /// Grants what the queue allows (the first grantable X or promotable
+  /// upgrade, or every queued S while no one holds X), wakes the
   /// winners, and re-applies the timestamp policy of the remaining
-  /// waiters against the new holders. Holders parked on OTHER stripes
-  /// cannot be woken under this latch; their ids are appended to *wounds
-  /// (flag already set) and the caller must WakeIfParked each AFTER
-  /// dropping the latch. Stripe latch held; entry.holder must be -1.
+  /// waiters against the new holders. Stripe latch held; entry.holder
+  /// must be -1.
   void GrantHead(Entry& entry, std::vector<int>* wounds);
+  /// Re-applies the timestamp policies of the queued waiters against the
+  /// current holders. Holders parked on OTHER stripes cannot be woken
+  /// under this latch; their ids are appended to *wounds (flag already
+  /// set) and the caller must WakeIfParked each AFTER dropping the latch.
+  /// Stripe latch held.
+  void ReapplyPolicy(Entry& entry, std::vector<int>* wounds);
   /// Releases under the latch; grants the next waiter batch.
   void ReleaseLocked(int txn, Entry& entry,
                      std::vector<int>* wounds);

@@ -23,16 +23,21 @@
 //     rounds-bounded session reproduces its exact commit/abort counts.
 //
 // Seeding is deterministic (kBaseSeed + case index) so a run is
-// reproducible; every failure message carries the case seed, and
-// WYDB_DIFF_FUZZ_SEED=<seed> replays exactly that one case:
+// reproducible; every failure message carries the case seed and its
+// leg, and WYDB_DIFF_FUZZ_SEED=<seed> makes each leg replay exactly that
+// one case in its own shape (X-only or mixed S/X):
 //
 //   WYDB_DIFF_FUZZ_SEED=12345 ./diff_fuzz_test
+//       --gtest_filter=DiffFuzzTest.MixedModeEnginesAndTrafficAgree
+//
+// (one command line; the failure message prints it whole).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <vector>
 
 #include "analysis/deadlock_checker.h"
+#include "analysis/multi_analyzer.h"
 #include "analysis/safety_checker.h"
 #include "common/random.h"
 #include "core/reduction_graph.h"
@@ -146,11 +151,22 @@ void CheckSafetyViolationReplays(const TransactionSystem& sys,
   }
 }
 
+/// The mixed S/X leg's shape: the X-only shape with a fraction of each
+/// system's accesses shared (drawn from the seed, 20-70%).
+RandomSystemOptions MixedShapeFor(uint64_t seed) {
+  RandomSystemOptions opts = ShapeFor(seed);
+  Rng rng(seed ^ 0x5A5A5A5A5A5A5A5AULL);
+  opts.shared_fraction = 0.2 + 0.1 * static_cast<double>(rng.NextBelow(6));
+  return opts;
+}
+
 void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
   SCOPED_TRACE(testing::Message()
                << "replay: WYDB_DIFF_FUZZ_SEED=" << seed
-               << " ./diff_fuzz_test"
-               << (shape.shared_fraction > 0.0 ? " (mixed S/X leg)" : ""));
+               << " ./diff_fuzz_test --gtest_filter=DiffFuzzTest."
+               << (shape.shared_fraction > 0.0
+                       ? "MixedModeEnginesAndTrafficAgree"
+                       : "EnginesAndTrafficAgreeOnRandomSystems"));
   auto sys = GenerateRandomSystem(shape);
   ASSERT_TRUE(sys.ok());
   const TransactionSystem& s = *sys->system;
@@ -368,25 +384,51 @@ TEST(DiffFuzzTest, EnginesAndTrafficAgreeOnRandomSystems) {
   }
 }
 
-// The same battery over MIXED S/X systems: a fraction of each corpus
-// system's accesses is shared (drawn from the seed, 20-70%), so the
+// The same battery over MIXED S/X systems (MixedShapeFor), so the
 // engine-agreement, witness-replay, reduced-determinism, and traffic /
 // live consistency checks all exercise the mode-aware conflict rules.
-// Replay with WYDB_DIFF_FUZZ_SEED picks the X-only corpus; the mixed leg
-// reuses the same per-case machinery with `mixed` shapes, so a mixed
-// failure replays by its printed seed through RunMixedCase below.
 void RunMixedCase(uint64_t seed) {
-  RandomSystemOptions opts = ShapeFor(seed);
-  Rng rng(seed ^ 0x5A5A5A5A5A5A5A5AULL);
-  opts.shared_fraction = 0.2 + 0.1 * static_cast<double>(rng.NextBelow(6));
-  RunCaseWithShape(seed, opts);
+  RunCaseWithShape(seed, MixedShapeFor(seed));
 }
 
 TEST(DiffFuzzTest, MixedModeEnginesAndTrafficAgree) {
-  if (SeedOverride() != 0) return;  // Override replays the X-only leg.
+  const uint64_t override_seed = SeedOverride();
+  if (override_seed != 0) {
+    RunMixedCase(override_seed);
+    return;
+  }
   for (int i = 0; i < kCases / 2; ++i) {
     RunMixedCase(kBaseSeed ^ (0xABCD0000ULL + static_cast<uint64_t>(i)));
     if (HasFatalFailure()) return;
+  }
+}
+
+// Mixed case 63 is Theorem-4-certified, yet it deadlocked live under
+// pure blocking when a compatible S request waited behind a queued X:
+// T1's S behind T0's queued X, T0 waiting for T2's S hold, T2 for T1's
+// X. The paper's model has no queue, so S is now granted whenever no
+// one holds X (DESIGN.md §11.5); with the old rule most of these runs
+// deadlocked.
+TEST(DiffFuzzTest, CertifiedMixedCase63NeverDeadlocksLive) {
+  const uint64_t seed = kBaseSeed ^ (0xABCD0000ULL + 63);
+  auto sys = GenerateRandomSystem(MixedShapeFor(seed));
+  ASSERT_TRUE(sys.ok());
+  const TransactionSystem& s = *sys->system;
+  auto cert = CheckSystemSafeAndDeadlockFree(s);
+  ASSERT_TRUE(cert.ok());
+  ASSERT_TRUE(cert->safe_and_deadlock_free);
+  for (int run = 0; run < 4; ++run) {
+    LiveOptions live;
+    live.policy = ConflictPolicy::kBlock;
+    live.seed = seed + static_cast<uint64_t>(run);
+    live.threads = s.num_transactions();
+    live.rounds = 10;
+    live.hold_us = 100;
+    auto lr = RunLive(s, live);
+    ASSERT_TRUE(lr.ok());
+    EXPECT_FALSE(lr->deadlocked) << "run " << run;
+    EXPECT_EQ(lr->commits, static_cast<uint64_t>(s.num_transactions()) * 10u)
+        << "run " << run;
   }
 }
 

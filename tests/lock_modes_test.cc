@@ -287,22 +287,23 @@ TEST_P(LockModesTest, SharedGrantsCoexistAndBlockExclusive) {
   EXPECT_EQ(d->SharerCount(kE), 0);
 }
 
-TEST_P(LockModesTest, SharedQueuesBehindQueuedExclusive) {
-  // FIFO fairness: T2's S request is compatible with the S holder T0 but
-  // must queue behind the earlier X waiter T1 — no reader starvation.
+TEST_P(LockModesTest, SharedGrantedPastQueuedExclusive) {
+  // S is granted whenever no one holds X (the paper's model has no
+  // queue; DESIGN.md §11.5): T2's S request is compatible with the S
+  // holder T0, so it does not wait behind the earlier X waiter T1.
   auto d = NewDriver(GetParam());
   EXPECT_TRUE(d->Acquire(0, kE, LockMode::kShared));
   EXPECT_FALSE(d->Acquire(1, kE, LockMode::kExclusive));
-  EXPECT_FALSE(d->Acquire(2, kE, LockMode::kShared));
-  EXPECT_EQ(d->SharerCount(kE), 1);
+  EXPECT_TRUE(d->Acquire(2, kE, LockMode::kShared));
+  EXPECT_EQ(d->SharerCount(kE), 2);
 
-  // The writer goes first...
+  // The writer waits for both readers...
   d->Release(0, kE);
+  EXPECT_FALSE(d->IsHolding(1, kE));
+  // ...and goes once the last one leaves.
+  d->Release(2, kE);
   EXPECT_TRUE(d->AwaitGranted(1, kE, LockMode::kExclusive));
-  EXPECT_FALSE(d->IsHolding(2, kE));
-  // ...and the reader follows.
-  d->Release(1, kE);
-  EXPECT_TRUE(d->AwaitGranted(2, kE, LockMode::kShared));
+  EXPECT_EQ(d->SharedGrants(), 2u);
 }
 
 TEST_P(LockModesTest, FreedEntityGrantsSharedBatch) {
@@ -352,17 +353,20 @@ TEST_P(LockModesTest, QueuedUpgradeKeepsSharedHoldAndJumpsQueue) {
   EXPECT_TRUE(HasEdge(edges, 0, 1));
   EXPECT_FALSE(HasEdge(edges, 0, 0));
 
-  // A later S request queues behind the head upgrade (FIFO fairness).
-  EXPECT_FALSE(d->Acquire(2, kE, LockMode::kShared));
+  // A later X request queues behind the head upgrade; a later S request
+  // is granted, since no one holds X (DESIGN.md §11.5).
+  EXPECT_FALSE(d->Acquire(3, kE, LockMode::kExclusive));
+  EXPECT_TRUE(d->Acquire(2, kE, LockMode::kShared));
 
-  // The other sharer drains: the upgrade is promoted ahead of T2.
+  // The other sharers drain: the upgrade is promoted ahead of T3.
   d->Release(1, kE);
+  d->Release(2, kE);
   EXPECT_TRUE(d->AwaitGranted(0, kE, LockMode::kExclusive));
   EXPECT_EQ(d->Upgrades(), 1u);
-  EXPECT_FALSE(d->IsHolding(2, kE));
+  EXPECT_FALSE(d->IsHolding(3, kE));
 
   d->Release(0, kE);
-  EXPECT_TRUE(d->AwaitGranted(2, kE, LockMode::kShared));
+  EXPECT_TRUE(d->AwaitGranted(3, kE, LockMode::kExclusive));
 }
 
 TEST_P(LockModesTest, TwoUpgradersDeadlockAndAbortResolves) {
@@ -427,6 +431,25 @@ TEST(FlatLockModesTest, BlockEventsEmittedPerConflictingHolder) {
     ++blocks;
   }
   EXPECT_EQ(blocks, 2);
+}
+
+// An S granted past a queued X is a new holder for the X waiter: its
+// block record is re-emitted against the new sharer, so the engine's
+// timestamp policy is applied to that pair too.
+TEST(FlatLockModesTest, SharedGrantPastQueueReemitsBlocks) {
+  FlatDriver d;
+  d.Acquire(0, kE, LockMode::kShared);
+  d.Acquire(1, kE, LockMode::kExclusive);
+  const size_t before = d.events().size();
+  EXPECT_TRUE(d.Acquire(2, kE, LockMode::kShared));
+  bool waiter_blocks_on_new_sharer = false;
+  for (size_t i = before; i < d.events().size(); ++i) {
+    const LockEvent& ev = d.events()[i];
+    if (ev.kind == LockEvent::Kind::kBlock && ev.txn == 1 && ev.holder == 2) {
+      waiter_blocks_on_new_sharer = true;
+    }
+  }
+  EXPECT_TRUE(waiter_blocks_on_new_sharer);
 }
 
 // X-only workloads never touch the shared machinery: counters stay zero
@@ -497,6 +520,22 @@ TEST(StripedLockModesTest, DetectorResolvesUpgradeDeadlock) {
   EXPECT_EQ(f0.get(), StripedLockManager::AcquireStatus::kGranted);
   EXPECT_TRUE(d.IsExclusiveHolder(0, kE));
   EXPECT_GE(d.manager().detector_runs(), 1u);
+}
+
+// The striped manager's counterpart: the older X waiter wounds the
+// younger sharer granted past it (wound-wait), and leaves the older
+// sharer it was already waiting for alone.
+TEST(StripedLockModesTest, WoundWaitAppliesToSharerGrantedPastQueue) {
+  StripedDriver d(ConflictPolicy::kWoundWait);
+  ASSERT_TRUE(d.Acquire(0, kE, LockMode::kShared));
+  ASSERT_FALSE(d.Acquire(1, kE, LockMode::kExclusive));  // Younger: waits.
+  ASSERT_TRUE(d.Acquire(2, kE, LockMode::kShared));
+  EXPECT_EQ(d.manager().policy_aborts(), 1u);
+  // The wounded T2 learns at its next request; T0 is untouched.
+  EXPECT_EQ(d.manager().Acquire(2, kF, LockMode::kShared),
+            StripedLockManager::AcquireStatus::kAborted);
+  EXPECT_EQ(d.manager().Acquire(0, kF, LockMode::kShared),
+            StripedLockManager::AcquireStatus::kGranted);
 }
 
 // Wait-die with the YOUNGER transaction already holding S: the older

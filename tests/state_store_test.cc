@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/deadlock_checker.h"
@@ -469,7 +472,43 @@ TEST(EngineCrossval, BenchWorkloadGeneratorsAgree) {
   }
 }
 
-// Budget exhaustion surfaces identically from both engines.
+// One check's whole outcome as text, for exact comparison across engines:
+// the status, the verdict, states_visited and the witness.
+std::string ScheduleText(const Schedule& schedule) {
+  std::string out;
+  for (GlobalNode g : schedule) {
+    out += std::to_string(g.txn) + "." + std::to_string(g.node) + " ";
+  }
+  return out;
+}
+
+std::string Describe(const Result<DeadlockReport>& r) {
+  if (!r.ok()) return r.status().ToString();
+  std::string out = (r->deadlock_free ? "free " : "deadlock ") +
+                    std::to_string(r->states_visited);
+  if (r->witness.has_value()) {
+    out += " | " + ScheduleText(r->witness->schedule) + "| " +
+           r->witness->reduction_cycle;
+  }
+  return out;
+}
+
+std::string Describe(const Result<SafetyReport>& r) {
+  if (!r.ok()) return r.status().ToString();
+  std::string out =
+      (r->holds ? "holds " : "violated ") + std::to_string(r->states_visited);
+  if (r->violation.has_value()) {
+    out += " | " + ScheduleText(r->violation->schedule) + "|";
+    for (int t : r->violation->txn_cycle) out += " " + std::to_string(t);
+  }
+  return out;
+}
+
+// Budget exhaustion surfaces identically from every engine, at the exact
+// max_states boundary: with V the serial engine's states_visited, a
+// budget of V reproduces the serial result at every thread count and
+// V - 1 is ResourceExhausted. kReduced visits its own (smaller) space,
+// so it is held to its own V, the same for every thread count.
 TEST(EngineCrossval, ResourceExhaustionMatches) {
   auto ring = GenerateRingSystem(4);
   ASSERT_TRUE(ring.ok());
@@ -483,6 +522,91 @@ TEST(EngineCrossval, ResourceExhaustionMatches) {
     auto r = CheckDeadlockFreedom(*ring->system, opts);
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << "engine " << static_cast<int>(engine);
+  }
+
+  std::vector<OwnedSystem> systems;
+  auto add = [&](Result<OwnedSystem> sys) {
+    ASSERT_TRUE(sys.ok());
+    systems.push_back(std::move(*sys));
+  };
+  add(GenerateRingSystem(3));
+  add(GenerateRingSystem(4));
+  add(GenerateDisjointGridSystem(3, 2));
+  add(GenerateSharedChainSystem(4));
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomSystemOptions ropts;
+    ropts.num_sites = 2;
+    ropts.entities_per_site = 2;
+    ropts.num_transactions = 3;
+    ropts.entities_per_txn = 2;
+    ropts.two_phase = seed % 2 == 0;
+    ropts.seed = seed;
+    add(GenerateRandomSystem(ropts));
+  }
+
+  // Each check: its name and a run returning (outcome text,
+  // states_visited) for an engine, a thread count and a budget.
+  using Run = std::function<std::pair<std::string, uint64_t>(
+      const TransactionSystem&, SearchEngine, int, uint64_t)>;
+  auto deadlock = [](DeadlockDetectionMode mode) -> Run {
+    return [mode](const TransactionSystem& s, SearchEngine engine,
+                  int threads, uint64_t max_states) {
+      DeadlockCheckOptions o;
+      o.mode = mode;
+      o.engine = engine;
+      o.search_threads = threads;
+      o.max_states = max_states;
+      auto r = CheckDeadlockFreedom(s, o);
+      return std::make_pair(Describe(r), r.ok() ? r->states_visited : 0);
+    };
+  };
+  auto safety = [](bool pure) -> Run {
+    return [pure](const TransactionSystem& s, SearchEngine engine,
+                  int threads, uint64_t max_states) {
+      SafetyCheckOptions o;
+      o.engine = engine;
+      o.search_threads = threads;
+      o.max_states = max_states;
+      auto r = pure ? CheckSafety(s, o) : CheckSafeAndDeadlockFree(s, o);
+      return std::make_pair(Describe(r), r.ok() ? r->states_visited : 0);
+    };
+  };
+  const std::vector<std::pair<std::string, Run>> checks = {
+      {"stuck", deadlock(DeadlockDetectionMode::kStuckState)},
+      {"reduction-graph", deadlock(DeadlockDetectionMode::kReductionGraph)},
+      {"safe+DF", safety(false)},
+      {"safety", safety(true)},
+  };
+
+  for (size_t i = 0; i < systems.size(); ++i) {
+    const TransactionSystem& s = *systems[i].system;
+    for (const auto& [name, run] : checks) {
+      for (auto [engine, reference] :
+           {std::make_pair(SearchEngine::kParallelSharded,
+                           SearchEngine::kIncremental),
+            std::make_pair(SearchEngine::kReduced, SearchEngine::kReduced)}) {
+        const uint64_t v = run(s, reference, 1, 0).second;
+        ASSERT_GT(v, 0u) << name << " system " << i;
+        const std::string expected = run(s, reference, 1, v).first;
+        for (int threads : {1, 2, 4}) {
+          SCOPED_TRACE(testing::Message()
+                       << name << " system " << i << " engine "
+                       << static_cast<int>(engine) << " threads " << threads
+                       << " V " << v);
+          EXPECT_EQ(run(s, engine, threads, v).first, expected);
+          if (v > 1) {
+            EXPECT_EQ(run(s, engine, threads, v - 1).first,
+                      Status::ResourceExhausted(
+                          name.find("safe") == std::string::npos
+                              ? "deadlock check exceeded " +
+                                    std::to_string(v - 1) + " states"
+                              : "safety check exceeded " +
+                                    std::to_string(v - 1) + " states")
+                          .ToString());
+          }
+        }
+      }
+    }
   }
 }
 

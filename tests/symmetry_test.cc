@@ -210,7 +210,10 @@ TEST(OrbitCanonicalizerTest, CanonicalizeKeyReportsTheSortPermutation) {
 // Store hooks.
 // ---------------------------------------------------------------------------
 
-TEST(CanonicalStoreTest, InternCanonicalMergesPermutedSiblings) {
+// The path the reduced search runs: symmetric siblings staged through
+// the orbit canonicalizer dedup to one id in the batched commit, and the
+// first staged occurrence keeps the parent link.
+TEST(CanonicalStoreTest, StageCanonicalMergesPermutedSiblings) {
   OwnedSystem farm = CertifiedFarm(4);
   StateSpace space(farm.system.get());
   TransactionOrbits orbits(*farm.system);
@@ -218,23 +221,26 @@ TEST(CanonicalStoreTest, InternCanonicalMergesPermutedSiblings) {
 
   const int kw = space.words_per_state();
   const int aw = space.aux_words();
-  StateStore store(kw, aw);
+  ShardedStateStore store(kw, aw, /*num_shards=*/4);
   store.set_canonicalizer(&canon);
 
   std::vector<uint64_t> root(kw), root_aux(aw);
   space.InitRoot(root.data(), root_aux.data());
-  uint32_t ids[4];
+  const uint32_t root_id = store.InternRoot(root.data());
+  std::vector<ShardedStateStore::Staging> chunks(1);
+  store.ResetStaging(&chunks[0]);
   for (int w = 0; w < 4; ++w) {
     std::vector<uint64_t> state(kw), aux(aw);
     space.ApplyInto(root.data(), root_aux.data(), GlobalNode{w, 0},
                     state.data(), aux.data());
-    ids[w] = store.InternCanonical(state.data(), aux.data()).id;
+    store.StageCanonical(&chunks[0], state.data(), aux.data(), root_id,
+                         GlobalNode{w, 0});
   }
   // All four "some worker holds the latch" states are one orbit.
-  EXPECT_EQ(ids[1], ids[0]);
-  EXPECT_EQ(ids[2], ids[0]);
-  EXPECT_EQ(ids[3], ids[0]);
-  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.CommitStaged(&chunks, 1, /*pool=*/nullptr), 1u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.ParentOf(1), root_id);
+  EXPECT_EQ(store.MoveOf(1).txn, 0);
 }
 
 // ---------------------------------------------------------------------------
