@@ -240,8 +240,8 @@ BENCHMARK(BM_ClosedLoop_Replicated_Ring)->ArgsProduct({{4}, {1, 2, 3}});
 //
 // The system is 16 certified transactions over a 64 Ki-entity database:
 // a production-sized lock table. That size is the detection baseline's
-// structural cost — every wait-for snapshot latches the whole striped
-// table (the same global-snapshot semantics as the simulator's
+// structural cost — every wait-for snapshot reads the whole table under
+// the latch (the same global-snapshot semantics as the simulator's
 // DetectAndResolve, which the cross-validation suite depends on), so a
 // scan costs Θ(table), ~0.5 ms here, while the certified fast path's
 // per-op cost never depends on the table size. Parks (and hence scans)

@@ -74,7 +74,7 @@ class LiveEngine {
         options_(options),
         num_txns_(sys.num_transactions()),
         mgr_(sys.db().num_entities(), num_txns_,
-             StripedLockManager::Options{options.policy, options.num_stripes,
+             StripedLockManager::Options{options.policy,
                                          options.detect_interval_us}),
         admission_(options.mpl, &stop_) {}
 
@@ -93,7 +93,7 @@ class LiveEngine {
     has_deadline_ = options_.duration_ms > 0;
     deadline_ = start_ + std::chrono::milliseconds(options_.duration_ms);
 
-    std::vector<std::vector<int64_t>> latencies(threads);
+    std::vector<std::vector<SimTime>> latencies(threads);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (int w = 0; w < threads; ++w) {
@@ -114,7 +114,7 @@ class LiveEngine {
   // One worker drives transactions w, w+threads, w+2*threads, ... each
   // through closed-loop rounds: arrival -> MPL admission -> attempt loop
   // (restart on abort) -> commit -> think.
-  void Worker(int w, int threads, std::vector<int64_t>* latencies) {
+  void Worker(int w, int threads, std::vector<SimTime>* latencies) {
     std::vector<TxnExecutor> executors;
     std::vector<int> rounds_done;
     for (int t = w; t < num_txns_; t += threads) {
@@ -139,7 +139,7 @@ class LiveEngine {
         if (!committed) return;  // Stopped or gave up mid-round.
 
         ++rounds_done[i];
-        latencies->push_back(ElapsedUs(arrival));
+        latencies->push_back(static_cast<SimTime>(ElapsedUs(arrival)));
         commits_.fetch_add(1, std::memory_order_relaxed);
         if (options_.think_us > 0) {
           SleepStopAware(static_cast<int64_t>(
@@ -280,10 +280,9 @@ class LiveEngine {
   }
 
   LiveResult Finalize(int threads,
-                      const std::vector<std::vector<int64_t>>& latencies) {
+                      const std::vector<std::vector<SimTime>>& latencies) {
     LiveResult r;
     r.threads = threads;
-    r.stripes = mgr_.num_stripes();
     r.deadlocked = deadlocked_.load(std::memory_order_acquire);
     r.gave_up = gave_up_.load(std::memory_order_acquire);
     r.completed = !r.deadlocked && !r.gave_up;
@@ -305,24 +304,9 @@ class LiveEngine {
                                  : static_cast<double>(r.aborts) /
                                        static_cast<double>(attempts);
 
-    std::vector<int64_t> all;
+    std::vector<SimTime> all;
     for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-    if (!all.empty()) {
-      std::sort(all.begin(), all.end());
-      auto pct = [&](double p) {
-        std::size_t idx = static_cast<std::size_t>(
-            p * static_cast<double>(all.size() - 1) + 0.5);
-        return static_cast<SimTime>(all[std::min(idx, all.size() - 1)]);
-      };
-      r.latency.p50 = pct(0.50);
-      r.latency.p95 = pct(0.95);
-      r.latency.p99 = pct(0.99);
-      r.latency.max = static_cast<SimTime>(all.back());
-      double sum = 0;
-      for (int64_t l : all) sum += static_cast<double>(l);
-      r.latency.mean = sum / static_cast<double>(all.size());
-      r.latency.samples = all.size();
-    }
+    r.latency = SummarizeLatencies(std::move(all));
     return r;
   }
 

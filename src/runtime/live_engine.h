@@ -67,8 +67,6 @@ struct LiveOptions {
   /// Watchdog progress-check period. Two consecutive checks with zero
   /// progress and parked waiters declare deadlock and stop the run.
   int64_t watchdog_interval_ms = 250;
-  /// StripedLockManager stripe count (0 = auto).
-  int num_stripes = 0;
   /// kDetect: waiter park timeout before a wait-for scan.
   int64_t detect_interval_us = 2000;
 };
@@ -82,7 +80,6 @@ struct LiveResult {
   bool gave_up = false;
 
   int threads = 0;
-  int stripes = 0;
 
   uint64_t commits = 0;
   uint64_t aborts = 0;
@@ -92,7 +89,8 @@ struct LiveResult {
   uint64_t shared_grants = 0;
   /// Completed S->X upgrades.
   uint64_t upgrades = 0;
-  /// Upgrade attempts that ended in an abort.
+  /// Queued upgrades abandoned by aborts (the simulator's meaning: an
+  /// upgrade whose grant is handed back counts as completed).
   uint64_t upgrade_aborts = 0;
   /// kDetect wait-for scans.
   uint64_t detector_runs = 0;

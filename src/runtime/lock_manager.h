@@ -1,25 +1,12 @@
 // Per-site shared/exclusive lock table with FIFO wait queues — the
 // substrate a 1985 distributed DBMS would run at each site.
 //
-// Data-oriented layout: the table is a dense vector indexed by EntityId;
-// waiters AND shared-holder records live in one pooled free-list and both
-// queues and sharer sets are intrusive index links. Operations never call
-// back into the engine; instead they append POD LockEvent records to an
-// output buffer the engine drains after each call. This keeps the hot
-// path allocation-free and removes the re-entrancy of the old
-// std::function grant/block hooks.
-//
-// Mode semantics (DESIGN.md §11): any number of shared holders OR one
-// exclusive holder. A shared request is granted whenever no transaction
-// holds the entity exclusively, even past queued exclusive waiters — the
-// paper's model has no queue, and a queue rule that parks a compatible S
-// creates deadlocks the static certifier cannot see (DESIGN.md §11.5).
-// Exclusive requests queue FIFO, and a freed entity grants one X or every
-// queued S. An S->X upgrade keeps its shared hold and jumps to the queue
-// HEAD; it is promoted the moment it is the sole remaining sharer. Two
-// sharers upgrading the same entity therefore deadlock on each other —
-// visible to the caller as wait-for edges (each waits on every
-// conflicting holder) and resolvable by the usual policies.
+// The grant rules, queues and counters are the shared LockTable core
+// (runtime/lock_table.h, DESIGN.md §11). This layer adds what the
+// discrete-event engine needs: operations never call back into the
+// engine; instead they append POD LockEvent records to an output buffer
+// the engine drains after each call, and a touched-entity list lets Abort
+// and WaitForEdges skip the rows of other sites.
 #ifndef WYDB_RUNTIME_LOCK_MANAGER_H_
 #define WYDB_RUNTIME_LOCK_MANAGER_H_
 
@@ -28,6 +15,7 @@
 
 #include "core/database.h"
 #include "core/transaction.h"
+#include "runtime/lock_table.h"
 
 namespace wydb {
 
@@ -63,19 +51,19 @@ struct LockEvent {
 /// kBlock records and issuing Abort.
 class LockManager {
  public:
+  using WaitEdge = LockTable::WaitEdge;
+
   /// `num_entities` sizes the dense table (global entity id space; rows
   /// for entities of other sites stay untouched). Events are appended to
   /// `*out`, which must outlive the manager.
   LockManager(SiteId site, int num_entities, std::vector<LockEvent>* out);
 
-  SiteId site() const { return site_; }
-
   /// Requests a lock in `mode` for transaction `txn`. Emits kGrant
-  /// (immediately if compatible and the queue is empty) or queues and
-  /// emits kBlock per conflicting holder. An exclusive request by a
-  /// current sharer is an UPGRADE: granted at once if `txn` is the sole
-  /// sharer, otherwise queued at the head while the shared hold is kept.
-  /// `node` and `attempt` are opaque payload echoed in the grant record.
+  /// (immediately if compatible) or queues and emits kBlock per
+  /// conflicting holder. An exclusive request by a current sharer is an
+  /// UPGRADE: granted at once if `txn` is the sole sharer, otherwise
+  /// queued at the head while the shared hold is kept. `node` and
+  /// `attempt` are opaque payload echoed in the grant record.
   void Request(int txn, EntityId entity, LockMode mode, int32_t node = -1,
                int32_t attempt = 0);
   /// Back-compat: exclusive request.
@@ -96,94 +84,70 @@ class LockManager {
 
   /// An exclusive holder if there is one, else an arbitrary shared holder,
   /// else -1. Use IsHolding for membership tests under shared modes.
-  int HolderOf(EntityId entity) const {
-    const LockState& s = table_[entity];
-    if (s.holder != -1) return s.holder;
-    return s.sharer_head == -1 ? -1 : pool_[s.sharer_head].txn;
+  int HolderOf(EntityId entity) const { return table_.HolderOf(entity); }
+  /// True iff `txn` holds `entity` in either mode.
+  bool IsHolding(int txn, EntityId entity) const {
+    return table_.IsHolding(txn, entity);
+  }
+  /// Number of shared holders of `entity` (0 when exclusively held/free).
+  int SharerCountOf(EntityId entity) const {
+    return table_.SharerCountOf(entity);
   }
 
-  /// True iff `txn` holds `entity` in either mode.
-  bool IsHolding(int txn, EntityId entity) const;
-  /// Number of shared holders of `entity` (0 when exclusively held/free).
-  int SharerCountOf(EntityId entity) const;
-
   bool IsWaiting(int txn) const;
-  bool IsWaitingOn(int txn, EntityId entity) const;
+  bool IsWaitingOn(int txn, EntityId entity) const {
+    return table_.IsWaitingOn(txn, entity);
+  }
 
-  /// (waiter, holder, entity) edges of this site's wait-for relation:
-  /// one edge per conflicting holder (all sharers for a queued X request;
-  /// an upgrader never waits on itself).
-  struct WaitEdge {
-    int waiter;
-    int holder;
-    EntityId entity;
-  };
-  std::vector<WaitEdge> WaitForEdges() const;
+  /// Edges of this site's wait-for relation: one edge per conflicting
+  /// holder (all sharers for a queued X request; an upgrader never waits
+  /// on itself).
   void AppendWaitForEdges(std::vector<WaitEdge>* out) const;
+  std::vector<WaitEdge> WaitForEdges() const {
+    std::vector<WaitEdge> edges;
+    AppendWaitForEdges(&edges);
+    return edges;
+  }
 
   uint64_t grants() const { return grants_; }
   /// Shared-mode grants (each granted S request counts once).
-  uint64_t shared_grants() const { return shared_grants_; }
+  uint64_t shared_grants() const { return table_.shared_grants(); }
   /// Completed S->X upgrades.
-  uint64_t upgrades() const { return upgrades_; }
+  uint64_t upgrades() const { return table_.upgrades(); }
   /// Queued upgrades abandoned by Abort.
-  uint64_t upgrade_aborts() const { return upgrade_aborts_; }
+  uint64_t upgrade_aborts() const { return table_.upgrade_aborts(); }
 
   /// Waiter-pool introspection (tests): the pool must plateau at the
   /// high-water mark of simultaneous waiters + shared holders — churn
   /// recycles slots through the free list instead of growing the vector.
-  size_t waiter_pool_size() const { return pool_.size(); }
+  size_t waiter_pool_size() const { return table_.pool_size(); }
   /// Free-listed (recyclable) slots; equals waiter_pool_size() when no
   /// transaction is queued or sharing anywhere.
-  size_t free_waiter_count() const;
+  size_t free_waiter_count() const { return table_.free_count(); }
 
  private:
-  struct Waiter {
-    int32_t txn;
-    int32_t node;
-    int32_t attempt;
-    int32_t next;  ///< Pool index of the next waiter/sharer, or -1.
-    LockMode mode;
-    bool upgrade;  ///< Queued S->X upgrade: still holds S on the entity.
-  };
-  struct LockState {
-    int32_t holder = -1;       ///< Exclusive holder, or -1.
-    int32_t sharer_head = -1;  ///< Pool index of the first sharer, or -1.
-    int32_t head = -1;         ///< Pool index of the first waiter, or -1.
-    int32_t tail = -1;
-  };
-
-  int32_t AllocWaiter(int txn, int32_t node, int32_t attempt, LockMode mode,
-                      bool upgrade);
-  void FreeWaiter(int32_t idx);
-  void AddSharer(LockState& state, int txn);
-  bool RemoveSharer(LockState& state, int txn);
-  bool IsSharer(const LockState& state, int txn) const;
-  bool SoleSharerIs(const LockState& state, int txn) const;
-  /// Grants what `entity`'s queue allows (the first grantable X or
-  /// promotable upgrade, or every queued S while no one holds X) and
-  /// re-emits kBlock for the remaining waiters against the new holders.
-  void GrantHead(EntityId entity);
-  void EmitGrant(EntityId entity, const Waiter& w);
-  void EmitBlock(EntityId entity, int32_t txn, int32_t holder);
-  /// One kBlock per current conflicting holder of `entity` (skips `txn`
-  /// itself so an upgrader never waits on its own shared hold).
-  void EmitBlocksAgainstHolders(EntityId entity, int32_t txn);
-  void Touch(EntityId entity);
+  void EmitGrant(EntityId entity, int32_t txn, int32_t node,
+                 int32_t attempt);
+  void EmitBlock(EntityId entity, int32_t txn, int32_t holder) {
+    out_->push_back(LockEvent{LockEvent::Kind::kBlock, site_, txn, entity,
+                              -1, 0, holder});
+  }
+  /// Holdership of `entity` grew: re-emit a kBlock for every remaining
+  /// waiter against every conflicting holder, so the caller re-applies
+  /// the conflict policy against the NEW holders. Without this,
+  /// wound-wait admits wait cycles: an old transaction queued behind a
+  /// young one inherits an old->young wait edge when the young waiter is
+  /// granted first.
+  void ReemitBlocks(EntityId entity);
 
   SiteId site_;
-  std::vector<LockState> table_;
-  std::vector<Waiter> pool_;
-  int32_t free_head_ = -1;
+  LockTable table_;
   /// Entities this manager has ever touched (sparse iteration support for
   /// Abort / WaitForEdges without scanning the whole dense table).
   std::vector<EntityId> touched_;
   std::vector<uint8_t> is_touched_;
   std::vector<LockEvent>* out_;
   uint64_t grants_ = 0;
-  uint64_t shared_grants_ = 0;
-  uint64_t upgrades_ = 0;
-  uint64_t upgrade_aborts_ = 0;
 };
 
 }  // namespace wydb

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/conflict_graph.h"
-#include "graph/algorithms.h"
 
 namespace wydb {
 
@@ -394,16 +393,10 @@ std::vector<int> SimEngine::IncompleteTxns() const {
 // transaction on a cycle. Returns true if it made progress.
 bool SimEngine::DetectAndResolve() {
   ++result_.detector_runs;
-  Digraph wait_for(sys_.num_transactions());
   std::vector<LockManager::WaitEdge> edges;
   for (const LockManager& site : sites_) site.AppendWaitForEdges(&edges);
-  for (const auto& edge : edges) wait_for.AddArc(edge.waiter, edge.holder);
-  std::vector<NodeId> cycle = FindCycle(wait_for);
-  if (cycle.empty()) return false;
-  int victim = cycle[0];
-  for (NodeId v : cycle) {
-    if (timestamp_[v] > timestamp_[victim]) victim = v;
-  }
+  const int victim = YoungestOnWaitCycle(edges, timestamp_);
+  if (victim == -1) return false;
   AbortTxn(victim);
   PumpLockEvents();  // The abort releases locks: serve the grants now.
   return true;
@@ -428,21 +421,7 @@ void SimEngine::FinalizeMetrics() {
           ? 0.0
           : static_cast<double>(result_.commits) * 1e6 /
                 static_cast<double>(result_.makespan);
-  if (latencies_.empty()) return;
-  std::sort(latencies_.begin(), latencies_.end());
-  auto pct = [&](double p) {
-    std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(latencies_.size() - 1) + 0.5);
-    return latencies_[std::min(idx, latencies_.size() - 1)];
-  };
-  result_.latency.p50 = pct(0.50);
-  result_.latency.p95 = pct(0.95);
-  result_.latency.p99 = pct(0.99);
-  result_.latency.max = latencies_.back();
-  double sum = 0;
-  for (SimTime l : latencies_) sum += static_cast<double>(l);
-  result_.latency.mean = sum / static_cast<double>(latencies_.size());
-  result_.latency.samples = latencies_.size();
+  result_.latency = SummarizeLatencies(std::move(latencies_));
 }
 
 Status SimEngine::ExtractHistory() {

@@ -1,5 +1,7 @@
 #include "runtime/simulation.h"
 
+#include <algorithm>
+
 #include "runtime/seed_sweep.h"
 #include "runtime/sim_engine.h"
 
@@ -25,6 +27,26 @@ void Accumulate(AggregateResult* agg, const SimResult& res,
 }
 
 }  // namespace
+
+LatencyStats SummarizeLatencies(std::vector<SimTime> samples) {
+  LatencyStats stats;
+  if (samples.empty()) return stats;
+  std::sort(samples.begin(), samples.end());
+  auto pct = [&](double p) {
+    std::size_t idx = static_cast<std::size_t>(
+        p * static_cast<double>(samples.size() - 1) + 0.5);
+    return samples[std::min(idx, samples.size() - 1)];
+  };
+  stats.p50 = pct(0.50);
+  stats.p95 = pct(0.95);
+  stats.p99 = pct(0.99);
+  stats.max = samples.back();
+  double sum = 0;
+  for (SimTime l : samples) sum += static_cast<double>(l);
+  stats.mean = sum / static_cast<double>(samples.size());
+  stats.samples = samples.size();
+  return stats;
+}
 
 Result<SimResult> RunSimulation(const TransactionSystem& sys,
                                 const SimOptions& options) {

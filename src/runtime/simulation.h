@@ -52,6 +52,9 @@ struct LatencyStats {
   uint64_t samples = 0;
 };
 
+/// Nearest-rank percentiles, max and mean of `samples` (zeros when empty).
+LatencyStats SummarizeLatencies(std::vector<SimTime> samples);
+
 struct SimResult {
   bool all_committed = false;
   /// Ended quiescent with blocked transactions (circular wait) under a

@@ -1,31 +1,20 @@
 // Thread-safe shared/exclusive lock table for the live (wall-clock)
-// engine: the flat per-site LockManager rebuilt for real concurrency.
+// engine: the LockTable core (runtime/lock_table.h) under one latch.
 //
-// Architecture (the pthread lock tables of real storage engines):
-//   * the grant/waiter state of every entity lives in a dense table, but
-//     access is guarded by a fixed array of STRIPE latches — entity ->
-//     stripe is a pure multiplicative-hash computation, so the lookup
-//     itself is lock-free and the stripe count bounds latch contention
-//     independently of the entity count;
-//   * waiter queues are intrusive: one pre-allocated WaitNode per
-//     transaction (a transaction waits on at most one entity at a time),
-//     linked through the nodes by transaction index — the hot path never
-//     allocates;
+// Architecture:
+//   * one std::mutex guards the whole table — the grant/queue core, the
+//     per-transaction park slots and the abort flags. One latch measured
+//     no slower than a striped table on every live run this repo makes
+//     (DESIGN.md §10.1), and it makes every cross-entity step (a wound
+//     to a transaction parked elsewhere, a wait-for snapshot) a plain
+//     critical section;
 //   * blocked requesters park on a per-transaction condition variable
-//     paired with the stripe latch, so a release wakes exactly the
-//     transactions it grants (no thundering herd).
+//     paired with the latch, so a release wakes exactly the transactions
+//     it grants (no thundering herd).
 //
-// Lock modes (DESIGN.md §11): any number of shared holders OR one
-// exclusive holder per entity. A shared request is granted whenever no
-// transaction holds X, even past queued exclusive waiters (the paper's
-// model has no queue; DESIGN.md §11.5); exclusive requests queue FIFO,
-// and a freed entity grants one X or every queued S. An S->X upgrade
-// keeps its shared hold and jumps to the queue HEAD; it is promoted the
-// moment it is the sole remaining sharer. Two sharers upgrading the
-// same entity deadlock on each other: the timestamp policies resolve it
-// by aborting one side up front, and kDetect sees the cycle because
-// wait-for edges run to EVERY conflicting holder (an upgrader never
-// waits on itself).
+// Lock modes and grant rules are the core's (DESIGN.md §11): S is granted
+// whenever no one holds X, exclusive requests queue FIFO, and an S->X
+// upgrade keeps its shared hold and queues at the head.
 //
 // Conflict policies:
 //   * kBlock is the paper's certified fast path: a conflicting request
@@ -38,9 +27,8 @@
 //     kAborted; the caller must release its locks and retry with the
 //     same timestamp).
 //   * kDetect scans on block (InnoDB-style): a parking waiter snapshots
-//     the global wait-for graph (all stripes latched in index order) and
-//     aborts the youngest transaction on a cycle, then re-scans every
-//     detect_interval_us while it stays parked.
+//     the wait-for graph and aborts the youngest transaction on a cycle,
+//     then re-scans every detect_interval_us while it stays parked.
 //
 // The manager resolves conflicts but never aborts anything itself: an
 // aborted Acquire returns kAborted and the CALLER releases held locks via
@@ -57,6 +45,7 @@
 
 #include "core/database.h"
 #include "core/transaction.h"
+#include "runtime/lock_table.h"
 #include "runtime/scheduler.h"
 
 namespace wydb {
@@ -72,17 +61,16 @@ class StripedLockManager {
 
   struct Options {
     ConflictPolicy policy = ConflictPolicy::kBlock;
-    /// Number of latch stripes (rounded up to a power of two; 0 = auto:
-    /// a small multiple of the hardware concurrency).
-    int num_stripes = 0;
     /// kDetect only: how long a parked waiter waits before re-running
     /// the wait-for cycle scan (the first scan runs at park time).
     /// Ignored by every other policy.
     int64_t detect_interval_us = 2000;
   };
 
+  using WaitEdge = LockTable::WaitEdge;
+
   /// `num_entities` sizes the dense lock table, `num_txns` the
-  /// per-transaction wait-node pool. Transaction ids are 0..num_txns-1.
+  /// per-transaction park slots. Transaction ids are 0..num_txns-1.
   StripedLockManager(int num_entities, int num_txns, const Options& options);
 
   /// Blocking acquire in `mode`. Returns kGranted once the caller holds
@@ -107,22 +95,17 @@ class StripedLockManager {
   void BeginAttempt(int txn);
 
   /// Marks `txn` a victim: its current or next Acquire returns kAborted.
-  /// Wakes it if it is parked. Never call while holding engine locks that
-  /// a parked transaction could be blocked under.
+  /// Wakes it if it is parked.
   void RequestAbort(int txn);
 
   /// Wakes every parked transaction with kStopped and fails all future
   /// Acquires. Idempotent.
   void RequestStop();
-  bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
   /// Timestamp consulted by kWoundWait/kWaitDie (smaller = older). Set
   /// before the transaction's first request; stable across restarts (the
   /// RSL policies' no-livelock argument needs that).
   void SetTimestamp(int txn, uint64_t ts) { timestamp_[txn] = ts; }
-
-  ConflictPolicy policy() const { return options_.policy; }
-  int num_stripes() const { return static_cast<int>(stripes_.size()); }
 
   /// Completed lock operations (grants returned to callers + releases).
   /// Cheap (relaxed counter sum); safe to call concurrently.
@@ -130,20 +113,7 @@ class StripedLockManager {
     return grants_.load(std::memory_order_relaxed) +
            releases_.load(std::memory_order_relaxed);
   }
-  uint64_t grants() const { return grants_.load(std::memory_order_relaxed); }
-  /// Shared-mode grants returned to callers (subset of grants()).
-  uint64_t shared_grants() const {
-    return shared_grants_.load(std::memory_order_relaxed);
-  }
-  /// Completed S->X upgrades (subset of grants()).
-  uint64_t upgrades() const {
-    return upgrades_.load(std::memory_order_relaxed);
-  }
-  /// Upgrade attempts that ended in kAborted.
-  uint64_t upgrade_aborts() const {
-    return upgrade_aborts_.load(std::memory_order_relaxed);
-  }
-  /// kDetect: wait-for scans run by timed-out waiters.
+  /// kDetect: wait-for scans run by parked waiters.
   uint64_t detector_runs() const {
     return detector_runs_.load(std::memory_order_relaxed);
   }
@@ -152,130 +122,87 @@ class StripedLockManager {
     return policy_aborts_.load(std::memory_order_relaxed);
   }
 
-  // --- Introspection (latches stripes; not for hot paths). ---------------
+  // --- Under the latch; not for hot paths. --------------------------------
 
+  /// The core's counters (LockTable): shared-mode grants, completed S->X
+  /// upgrades, and queued upgrades abandoned by an abort.
+  uint64_t shared_grants() const {
+    return Latched([this] { return table_.shared_grants(); });
+  }
+  uint64_t upgrades() const {
+    return Latched([this] { return table_.upgrades(); });
+  }
+  uint64_t upgrade_aborts() const {
+    return Latched([this] { return table_.upgrade_aborts(); });
+  }
   /// The exclusive holder if there is one, else an arbitrary shared
   /// holder, else -1. Use IsHolding for membership under shared modes.
-  int HolderOf(EntityId entity) const;
+  int HolderOf(EntityId entity) const {
+    return Latched([&] { return table_.HolderOf(entity); });
+  }
   /// True iff `txn` holds `entity` in either mode.
-  bool IsHolding(int txn, EntityId entity) const;
+  bool IsHolding(int txn, EntityId entity) const {
+    return Latched([&] { return table_.IsHolding(txn, entity); });
+  }
   /// Number of shared holders of `entity` (0 when exclusively held/free).
-  int SharerCountOf(EntityId entity) const;
+  int SharerCountOf(EntityId entity) const {
+    return Latched([&] { return table_.SharerCountOf(entity); });
+  }
   /// Parked transactions over all entities.
-  size_t TotalWaiters() const;
-
-  struct WaitEdge {
-    int waiter;
-    int holder;
-    EntityId entity;
-  };
-  /// Consistent snapshot of the wait-for relation (latches every stripe
-  /// in index order): one edge per conflicting holder — all sharers for a
-  /// queued exclusive request; an upgrader never waits on itself.
-  std::vector<WaitEdge> WaitForEdges() const;
-
- private:
-  /// Queue/grant state of one entity. Guarded by its stripe's latch.
-  struct Entry {
-    int32_t holder = -1;            ///< Exclusive holder, or -1.
-    std::vector<int32_t> sharers;   ///< Shared holders (empty when X-held).
-    int32_t head = -1;              ///< Waiting transaction index, or -1.
-    int32_t tail = -1;
-  };
-
-  /// One pre-allocated park slot per transaction; all fields except the
-  /// atomics are guarded by the stripe latch of `entity`.
-  struct WaitNode {
-    std::condition_variable cv;
-    int32_t next = -1;
-    uint8_t granted = 0;
-    LockMode mode = LockMode::kExclusive;  ///< Mode of the queued request.
-    uint8_t upgrading = 0;  ///< Queued S->X upgrade: still holds S.
-    /// Entity this transaction is parked on (set under the stripe latch
-    /// before the first predicate check, cleared under it on wake).
-    /// Atomic so RequestAbort can chase the parking spot latch-free.
-    std::atomic<EntityId> parked_on{kInvalidEntity};
-  };
-
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-  };
-
-  size_t StripeOf(EntityId e) const {
-    // Multiplicative hash: adjacent entity ids land on different stripes.
-    // One stripe means a 64-bit shift, which C++ leaves undefined — that
-    // case is index 0 by definition.
-    if (stripe_shift_ >= 64) return 0;
-    return (static_cast<uint64_t>(static_cast<uint32_t>(e)) *
-            0x9E3779B97F4A7C15ull) >>
-           stripe_shift_;
+  size_t TotalWaiters() const {
+    return Latched([this] { return table_.queued(); });
+  }
+  /// Consistent snapshot of the wait-for relation: one edge per
+  /// conflicting holder — all sharers for a queued exclusive request; an
+  /// upgrader never waits on itself.
+  std::vector<WaitEdge> WaitForEdges() const {
+    return Latched([this] { return WaitForEdgesLocked(); });
   }
 
-  /// Appends txn to entity's waiter queue. Stripe latch held.
-  void Enqueue(Entry& entry, int txn, LockMode mode, bool upgrading);
-  /// Prepends txn (upgrades). Stripe latch held.
-  void EnqueueFront(Entry& entry, int txn, LockMode mode, bool upgrading);
-  /// Removes txn from entity's waiter queue if present. Stripe latch held.
-  void Unlink(Entry& entry, int txn);
-  bool IsSharer(const Entry& entry, int txn) const;
-  bool RemoveSharer(Entry& entry, int txn);
-  /// Grants what the queue allows (the first grantable X or promotable
-  /// upgrade, or every queued S while no one holds X), wakes the
-  /// winners, and re-applies the timestamp policy of the remaining
-  /// waiters against the new holders. Stripe latch held; entry.holder
-  /// must be -1.
-  void GrantHead(Entry& entry, std::vector<int>* wounds);
-  /// Re-applies the timestamp policies of the queued waiters against the
-  /// current holders. Holders parked on OTHER stripes cannot be woken
-  /// under this latch; their ids are appended to *wounds (flag already
-  /// set) and the caller must WakeIfParked each AFTER dropping the latch.
-  /// Stripe latch held.
-  void ReapplyPolicy(Entry& entry, std::vector<int>* wounds);
-  /// Releases under the latch; grants the next waiter batch.
-  void ReleaseLocked(int txn, Entry& entry,
-                     std::vector<int>* wounds);
+ private:
+  /// One park slot per transaction. Guarded by the latch.
+  struct Slot {
+    std::condition_variable cv;
+    bool granted = false;  ///< The queued request was granted.
+    bool abort = false;    ///< Pending abort: the next wake returns kAborted.
+  };
 
   /// Parks txn on `entity` until granted/aborted/stopped. The caller has
-  /// already enqueued it; `lk` holds the stripe latch. Returns the final
-  /// status with the node unlinked and parked_on cleared. May return with
-  /// `lk` unlocked (give-back wound delivery).
+  /// already queued it; `lk` holds the latch. Returns with the request
+  /// either granted or unlinked.
   AcquireStatus Park(int txn, EntityId entity,
                      std::unique_lock<std::mutex>& lk);
-
+  /// Drops txn's hold on `entity` and wakes what the core grants. False
+  /// if it held nothing. Latch held.
+  bool ReleaseLocked(int txn, EntityId entity);
+  /// Re-applies the timestamp policies of `entity`'s queued waiters
+  /// against its current holders (a fresh holder may be younger than an
+  /// older waiter, or older than a younger one). Latch held.
+  void ReapplyPolicy(EntityId entity);
   /// Sets txn's abort flag (counting the policy abort on the 0->1 edge)
-  /// and notifies its cv. Safe under any latch; pair with a latch-free
-  /// WakeIfParked when txn may be parked on another stripe.
+  /// and wakes it if it is parked. Latch held.
   void FlagPolicyAbort(int txn);
-
-  /// kDetect: snapshot the wait-for graph and abort the youngest
-  /// transaction on a cycle, if any. Caller holds no stripe latch.
+  /// kDetect: abort the youngest transaction on a wait-for cycle, if any.
+  /// Latch held.
   void RunDetector();
-
-  /// Notifies txn under its parking stripe's latch if it is parked.
-  /// Caller holds no stripe latch.
-  void WakeIfParked(int txn);
-
-  bool AbortRequested(int txn) const {
-    return abort_flag_[txn].load(std::memory_order_acquire) != 0;
+  std::vector<WaitEdge> WaitForEdgesLocked() const;
+  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+  template <typename F>
+  auto Latched(F&& f) const -> decltype(f()) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return f();
   }
 
   Options options_;
-  size_t stripe_shift_;
-  std::vector<Stripe> stripes_;
-  std::vector<Entry> entries_;
-  std::unique_ptr<WaitNode[]> nodes_;
-  std::unique_ptr<std::atomic<uint8_t>[]> abort_flag_;
+  mutable std::mutex mu_;
+  LockTable table_;
+  std::unique_ptr<Slot[]> slots_;
   std::vector<uint64_t> timestamp_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> grants_{0};
-  std::atomic<uint64_t> shared_grants_{0};
-  std::atomic<uint64_t> upgrades_{0};
-  std::atomic<uint64_t> upgrade_aborts_{0};
   std::atomic<uint64_t> releases_{0};
   std::atomic<uint64_t> detector_runs_{0};
   std::atomic<uint64_t> policy_aborts_{0};
-  /// Serializes kDetect scans (one timed-out waiter scans at a time).
-  std::mutex detect_mu_;
 };
 
 }  // namespace wydb

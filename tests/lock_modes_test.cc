@@ -1,13 +1,14 @@
-// Adversarial S/X grant-logic battery run against BOTH lock tables — the
-// simulator's per-site LockManager and the live engine's thread-safe
-// StripedLockManager — through one driver interface, so the two
-// implementations are pinned to the same mode semantics (DESIGN.md §11):
+// Adversarial S/X grant-logic battery run against BOTH lock managers —
+// the simulator's per-site LockManager and the live engine's thread-safe
+// StripedLockManager — through one driver interface. Both wrap the one
+// LockTable core, so the battery checks that each wrapper surfaces the
+// core's mode semantics (DESIGN.md §11.5) unchanged:
 //
-//   * shared grants are batched: any number of S holders coexist, and a
-//     freed entity grants the maximal consecutive shared prefix of its
-//     queue at once;
-//   * FIFO fairness: an S request behind a queued X waiter queues too,
-//     so writers are never starved by a stream of readers;
+//   * shared grants are batched: any number of S holders coexist, an S
+//     request is granted whenever no one holds X (even past queued X
+//     waiters), and a freed entity grants every queued S at once;
+//   * X requests queue FIFO and are granted only once no one holds the
+//     entity in any mode;
 //   * S->X upgrades keep their shared hold and jump to the queue head —
 //     promoted immediately when the upgrader is the sole sharer, else
 //     the moment the other sharers drain;
@@ -245,7 +246,6 @@ class StripedDriver : public ModeDriver {
   static StripedLockManager::Options MakeOptions(ConflictPolicy policy) {
     StripedLockManager::Options o;
     o.policy = policy;
-    o.num_stripes = 2;
     return o;
   }
 

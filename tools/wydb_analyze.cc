@@ -145,7 +145,7 @@ contention.
                      demotion of the same system)
 
 run: execute the workload on the wall-clock LiveEngine (real OS threads
-against the striped thread-safe lock table) or, for cross-checking, the
+against the thread-safe lock table) or, for cross-checking, the
 deterministic simulator. Certified systems may run the paper's
 no-detection fast path (--policy block / --no-detection: pure blocking,
 no timestamps, no timeout scans); the subcommand REFUSES that fast path
@@ -169,7 +169,6 @@ greppable `result:` line (exact counts; deterministic at --mpl 1 or
   --hold-us <t>      dwell while holding each granted lock (widens the
                      live conflict window; useful to demonstrate
                      deadlocks on uncertified systems)
-  --stripes <n>      lock-table latch stripes (0 = auto)
   --seed <s>         base seed (default 1)
 )";
 
@@ -375,7 +374,7 @@ int RunRunCommand(int argc, char** argv) {
   const char* policy_arg = "detect";
   bool no_detection = false;
   uint64_t seed = 1;
-  int threads = 0, mpl = 0, rounds = 0, stripes = 0;
+  int threads = 0, mpl = 0, rounds = 0;
   int duration_ms = 0, think_us = 0, hold_us = 0;
   for (int a = 3; a < argc; ++a) {
     auto next = [&](const char* opt) -> const char* {
@@ -400,8 +399,6 @@ int RunRunCommand(int argc, char** argv) {
       think_us = ParseCountFlag("--think-us", next("--think-us"));
     } else if (!std::strcmp(argv[a], "--hold-us")) {
       hold_us = ParseCountFlag("--hold-us", next("--hold-us"));
-    } else if (!std::strcmp(argv[a], "--stripes")) {
-      stripes = ParseCountFlag("--stripes", next("--stripes"));
     } else if (!std::strcmp(argv[a], "--seed")) {
       seed = std::strtoull(next("--seed"), nullptr, 10);
     } else {
@@ -463,7 +460,6 @@ int RunRunCommand(int argc, char** argv) {
     o.duration_ms = duration_ms;
     o.think_us = think_us;
     o.hold_us = hold_us;
-    o.num_stripes = stripes;
     auto r = RunLive(sys, o);
     if (!r.ok()) {
       std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());
@@ -477,10 +473,10 @@ int RunRunCommand(int argc, char** argv) {
         static_cast<unsigned long long>(r->aborts), r->abort_rate,
         r->deadlocked ? 1 : 0, r->gave_up ? 1 : 0);
     std::printf(
-        "perf: threads=%d stripes=%d wall_s=%.3f commits_per_sec=%.1f "
+        "perf: threads=%d wall_s=%.3f commits_per_sec=%.1f "
         "lock_ops_per_sec=%.1f p50_us=%llu p95_us=%llu p99_us=%llu "
         "shared_grants=%llu upgrades=%llu upgrade_aborts=%llu\n",
-        r->threads, r->stripes, r->wall_seconds, r->commits_per_sec,
+        r->threads, r->wall_seconds, r->commits_per_sec,
         r->lock_ops_per_sec,
         static_cast<unsigned long long>(r->latency.p50),
         static_cast<unsigned long long>(r->latency.p95),
