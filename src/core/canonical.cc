@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "common/hash_util.h"
-#include "common/macros.h"
 #include "common/string_util.h"
 #include "core/database.h"
 #include "core/transaction.h"
@@ -52,136 +52,175 @@ uint64_t PositionSig(const Transaction& txn, NodeId v) {
   return (pred << 32) | succ;
 }
 
-/// One round of color refinement: every object rehashes its old color
-/// with the colors of its structural neighborhood (multisets sorted, so
-/// the result is order-free).
-void RefineOnce(const TransactionSystem& sys,
-                const std::vector<Digraph>& hasse, Colors* c) {
-  const Database& db = sys.db();
-  std::vector<uint64_t> ntxn(sys.num_transactions());
-  for (int t = 0; t < sys.num_transactions(); ++t) {
-    const Transaction& txn = sys.txn(t);
-    // Per-step signature: (kind, entity color, position in the order).
-    // Signatures may collide while entity colors are still tied; the
-    // individualization search below splits those ties later.
-    std::vector<uint64_t> sig(txn.num_steps());
-    for (NodeId v = 0; v < txn.num_steps(); ++v) {
-      const Step& st = txn.step(v);
-      ColorHash s;
-      s.Add(StepKindCode(st));
-      s.Add(c->entity[st.entity]);
-      s.Add(PositionSig(txn, v));
-      sig[v] = s.Get();
-    }
-    ColorHash h;
-    h.Add(c->txn[t]);
-    std::vector<uint64_t> steps(sig);
-    std::sort(steps.begin(), steps.end());
-    for (uint64_t s : steps) h.Add(s);
-    h.Add(0x5EC0ULL);  // Separator: step multiset | arc multiset.
-    std::vector<uint64_t> arcs;
-    for (NodeId v = 0; v < txn.num_steps(); ++v) {
-      for (NodeId w : hasse[t].OutNeighbors(v)) {
+/// Color refinement over one system. The structure-only inputs — each
+/// step's (kind, position) and each accessor's (mode, lock position,
+/// unlock position) — are hashed once per key here; a round only mixes
+/// them with the current colors.
+class Refiner {
+ public:
+  Refiner(const TransactionSystem& sys, const std::vector<Digraph>& hasse)
+      : sys_(sys), hasse_(hasse) {
+    step_shape_.resize(sys.num_transactions());
+    accessor_shape_.resize(sys.db().num_entities());
+    for (int t = 0; t < sys.num_transactions(); ++t) {
+      const Transaction& txn = sys.txn(t);
+      std::vector<uint64_t> position(txn.num_steps());
+      for (NodeId v = 0; v < txn.num_steps(); ++v) {
+        position[v] = PositionSig(txn, v);
+        ColorHash s;
+        s.Add(StepKindCode(txn.step(v)));
+        s.Add(position[v]);
+        step_shape_[t].push_back(s.Get());
+      }
+      for (EntityId e : txn.entities()) {
         ColorHash a;
-        a.Add(sig[v]);
-        a.Add(sig[w]);
-        arcs.push_back(a.Get());
+        a.Add(txn.LockModeOf(e) == LockMode::kShared ? 2 : 1);
+        a.Add(position[txn.LockNode(e)]);
+        a.Add(position[txn.UnlockNode(e)]);
+        accessor_shape_[e].emplace_back(t, a.Get());
       }
     }
-    std::sort(arcs.begin(), arcs.end());
-    for (uint64_t a : arcs) h.Add(a);
-    ntxn[t] = h.Get();
   }
 
-  std::vector<uint64_t> nentity(db.num_entities());
-  for (EntityId e = 0; e < db.num_entities(); ++e) {
-    ColorHash h;
-    h.Add(c->entity[e]);
-    h.Add(c->site[db.SiteOf(e)]);
-    std::vector<uint64_t> accessors;
-    for (int t : sys.AccessorsOf(e)) {
-      const Transaction& txn = sys.txn(t);
-      ColorHash a;
-      a.Add(c->txn[t]);
-      a.Add(txn.LockModeOf(e) == LockMode::kShared ? 2 : 1);
-      a.Add(PositionSig(txn, txn.LockNode(e)));
-      a.Add(PositionSig(txn, txn.UnlockNode(e)));
-      accessors.push_back(a.Get());
+  /// Refines until the partitions stop splitting. Every new color hashes
+  /// the old one, so a round can only split classes: an unchanged class
+  /// count means an unchanged partition, and every later round would
+  /// leave it unchanged too. The round count is itself
+  /// structure-determined, so isomorphic systems end with corresponding
+  /// color values. The cap only guards against hash collisions.
+  void RefineToFixpoint(Colors* c) {
+    const int max_rounds = static_cast<int>(c->site.size() +
+                                            c->entity.size() + c->txn.size()) +
+                           2;
+    int classes = CountClasses(*c);
+    for (int round = 0; round < max_rounds; ++round) {
+      RefineOnce(c);
+      const int next = CountClasses(*c);
+      if (next == classes) break;
+      classes = next;
     }
-    std::sort(accessors.begin(), accessors.end());
-    for (uint64_t a : accessors) h.Add(a);
-    nentity[e] = h.Get();
   }
 
-  std::vector<uint64_t> nsite(db.num_sites());
-  for (SiteId s = 0; s < db.num_sites(); ++s) {
-    ColorHash h;
-    h.Add(c->site[s]);
-    std::vector<uint64_t> residents;
-    for (EntityId e : db.EntitiesAt(s)) residents.push_back(c->entity[e]);
-    std::sort(residents.begin(), residents.end());
-    for (uint64_t r : residents) h.Add(r);
-    nsite[s] = h.Get();
+ private:
+  int CountDistinct(const std::vector<uint64_t>& col) {
+    scratch_.assign(col.begin(), col.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    return static_cast<int>(std::unique(scratch_.begin(), scratch_.end()) -
+                            scratch_.begin());
   }
 
-  c->txn = std::move(ntxn);
-  c->entity = std::move(nentity);
-  c->site = std::move(nsite);
-}
-
-/// Class-id vector of a color vector (rank of each color among the sorted
-/// distinct values) — the partition, shorn of the unstable hash values.
-std::vector<int> Classes(const std::vector<uint64_t>& col) {
-  std::vector<uint64_t> distinct(col);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  std::vector<int> out(col.size());
-  for (size_t i = 0; i < col.size(); ++i) {
-    out[i] = static_cast<int>(
-        std::lower_bound(distinct.begin(), distinct.end(), col[i]) -
-        distinct.begin());
+  int CountClasses(const Colors& c) {
+    return CountDistinct(c.site) + CountDistinct(c.entity) +
+           CountDistinct(c.txn);
   }
-  return out;
-}
 
-/// Refines until the three partitions stop splitting. The round count is
-/// itself structure-determined, so isomorphic systems end with
-/// corresponding color values.
-void RefineToFixpoint(const TransactionSystem& sys,
-                      const std::vector<Digraph>& hasse, Colors* c) {
-  const Database& db = sys.db();
-  const int max_rounds =
-      db.num_sites() + db.num_entities() + sys.num_transactions() + 2;
-  auto partition = [&] {
-    return std::make_tuple(Classes(c->site), Classes(c->entity),
-                           Classes(c->txn));
-  };
-  auto prev = partition();
-  for (int round = 0; round < max_rounds; ++round) {
-    RefineOnce(sys, hasse, c);
-    auto cur = partition();
-    if (cur == prev) break;
-    prev = std::move(cur);
+  /// One round: every object rehashes its old color with the colors of
+  /// its structural neighborhood (multisets sorted, so the result is
+  /// order-free).
+  void RefineOnce(Colors* c) {
+    const Database& db = sys_.db();
+    ntxn_.resize(sys_.num_transactions());
+    for (int t = 0; t < sys_.num_transactions(); ++t) {
+      const Transaction& txn = sys_.txn(t);
+      // Per-step signature: (kind, position, entity color). Signatures
+      // may collide while entity colors are still tied; the
+      // individualization search below splits those ties later.
+      sig_.resize(txn.num_steps());
+      for (NodeId v = 0; v < txn.num_steps(); ++v) {
+        ColorHash s;
+        s.Add(step_shape_[t][v]);
+        s.Add(c->entity[txn.step(v).entity]);
+        sig_[v] = s.Get();
+      }
+      ColorHash h;
+      h.Add(c->txn[t]);
+      scratch_.assign(sig_.begin(), sig_.end());
+      std::sort(scratch_.begin(), scratch_.end());
+      for (uint64_t s : scratch_) h.Add(s);
+      h.Add(0x5EC0ULL);  // Separator: step multiset | arc multiset.
+      scratch_.clear();
+      for (NodeId v = 0; v < txn.num_steps(); ++v) {
+        for (NodeId w : hasse_[t].OutNeighbors(v)) {
+          ColorHash a;
+          a.Add(sig_[v]);
+          a.Add(sig_[w]);
+          scratch_.push_back(a.Get());
+        }
+      }
+      std::sort(scratch_.begin(), scratch_.end());
+      for (uint64_t a : scratch_) h.Add(a);
+      ntxn_[t] = h.Get();
+    }
+
+    nentity_.resize(db.num_entities());
+    for (EntityId e = 0; e < db.num_entities(); ++e) {
+      ColorHash h;
+      h.Add(c->entity[e]);
+      h.Add(c->site[db.SiteOf(e)]);
+      scratch_.clear();
+      for (const auto& [t, shape] : accessor_shape_[e]) {
+        ColorHash a;
+        a.Add(c->txn[t]);
+        a.Add(shape);
+        scratch_.push_back(a.Get());
+      }
+      std::sort(scratch_.begin(), scratch_.end());
+      for (uint64_t a : scratch_) h.Add(a);
+      nentity_[e] = h.Get();
+    }
+
+    nsite_.resize(db.num_sites());
+    for (SiteId s = 0; s < db.num_sites(); ++s) {
+      ColorHash h;
+      h.Add(c->site[s]);
+      scratch_.clear();
+      for (EntityId e : db.EntitiesAt(s)) scratch_.push_back(c->entity[e]);
+      std::sort(scratch_.begin(), scratch_.end());
+      for (uint64_t r : scratch_) h.Add(r);
+      nsite_[s] = h.Get();
+    }
+
+    c->txn.swap(ntxn_);
+    c->entity.swap(nentity_);
+    c->site.swap(nsite_);
   }
-}
+
+  const TransactionSystem& sys_;
+  const std::vector<Digraph>& hasse_;
+  /// Per transaction, per step: hash of (kind, position).
+  std::vector<std::vector<uint64_t>> step_shape_;
+  /// Per entity: (accessor, hash of (mode, lock and unlock positions)).
+  std::vector<std::vector<std::pair<int, uint64_t>>> accessor_shape_;
+  // Per-round buffers, reused across rounds.
+  std::vector<uint64_t> sig_, scratch_, ntxn_, nentity_, nsite_;
+};
 
 /// Renders the canonical text for a fixed entity order
 /// (canonical id -> original EntityId) and derives the transaction order
-/// from it: bodies under the canonical entity names, sorted.
-Result<std::pair<std::string, std::vector<int>>> Render(
-    const TransactionSystem& sys, const std::vector<int>& entity_order) {
+/// from it: bodies under the canonical entity names, sorted. Each body is
+/// written by the serializer's own AppendTransactionBody, with steps
+/// prioritized by (canonical entity, kind) — unique per step — so the
+/// rendering depends only on the partial order, never on the order the
+/// caller happened to list unordered steps in, and the text is exactly
+/// what SerializeSystem prints for its own reparse.
+std::pair<std::string, std::vector<int>> Render(
+    const TransactionSystem& sys, const std::vector<Digraph>& hasse,
+    const std::vector<int>& entity_order) {
   const Database& db = sys.db();
   const int num_entities = db.num_entities();
   std::vector<int> canon_of_entity(num_entities, -1);
+  std::vector<std::string> entity_names(num_entities);
   for (int canon = 0; canon < num_entities; ++canon) {
     canon_of_entity[entity_order[canon]] = canon;
+    entity_names[entity_order[canon]] = StrFormat("e%d", canon);
   }
 
   // Site order: by smallest canonical entity resident there (site entity
   // sets are disjoint, so this is a total order); entity-less sites are
   // all interchangeable and go last — their mutual order cannot show in
-  // the text.
+  // the text. The header is what SerializeSystem prints for sites s0..
+  // in that order: a `sites:` line for the empty ones, then one `site`
+  // line per non-empty site listing its entities by canonical id.
   std::vector<std::pair<int, SiteId>> site_rank;
   for (SiteId s = 0; s < db.num_sites(); ++s) {
     int min_canon = num_entities + s;
@@ -191,106 +230,37 @@ Result<std::pair<std::string, std::vector<int>>> Render(
     site_rank.emplace_back(min_canon, s);
   }
   std::sort(site_rank.begin(), site_rank.end());
-
-  Database cdb;
-  std::vector<SiteId> canon_site_of(db.num_sites(), kInvalidSite);
+  std::string bare_sites;
   for (size_t rank = 0; rank < site_rank.size(); ++rank) {
-    WYDB_ASSIGN_OR_RETURN(SiteId added,
-                          cdb.AddSite(StrFormat("s%d", (int)rank)));
-    canon_site_of[site_rank[rank].second] = added;
+    if (db.EntitiesAt(site_rank[rank].second).empty()) {
+      bare_sites += StrFormat(" s%d", (int)rank);
+    }
   }
-  for (int canon = 0; canon < num_entities; ++canon) {
-    EntityId orig = entity_order[canon];
-    WYDB_RETURN_IF_ERROR(cdb.AddEntity(StrFormat("e%d", canon),
-                                       canon_site_of[db.SiteOf(orig)])
-                             .status());
+  std::string text = bare_sites.empty() ? "" : "sites:" + bare_sites + "\n";
+  for (size_t rank = 0; rank < site_rank.size(); ++rank) {
+    std::vector<int> residents;
+    for (EntityId e : db.EntitiesAt(site_rank[rank].second)) {
+      residents.push_back(canon_of_entity[e]);
+    }
+    if (residents.empty()) continue;
+    std::sort(residents.begin(), residents.end());
+    text += StrFormat("site s%d:", (int)rank);
+    for (int canon : residents) text += StrFormat(" e%d", canon);
+    text += "\n";
   }
 
-  // Rebuild every transaction against the canonical database (entities
-  // remapped), serialize once with throwaway names, and split header
-  // lines from per-transaction bodies. The step list is *relisted* in a
-  // canonical linear extension first — greedy minimal-first, ties broken
-  // by (canonical entity, kind), which is unique per step — so the
-  // rendering depends only on the partial order, never on the order the
-  // caller happened to list unordered steps in. That is what makes the
-  // canonical text a fixpoint: reparsing it and canonicalizing again
-  // reproduces it byte for byte.
-  std::vector<Transaction> txns;
+  std::vector<std::string> bodies(sys.num_transactions());
   for (int t = 0; t < sys.num_transactions(); ++t) {
     const Transaction& txn = sys.txn(t);
-    const NodeId k = txn.num_steps();
-    std::vector<NodeId> order;
-    order.reserve(k);
-    std::vector<char> placed(k, 0);
-    for (NodeId n = 0; n < k; ++n) {
-      NodeId best = kInvalidNode;
-      uint64_t best_rank = 0;
-      for (NodeId v = 0; v < k; ++v) {
-        if (placed[v]) continue;
-        bool ready = true;
-        for (NodeId u = 0; u < k && ready; ++u) {
-          if (!placed[u] && u != v && txn.Precedes(u, v)) ready = false;
-        }
-        if (!ready) continue;
-        const Step& st = txn.step(v);
-        const uint64_t rank =
-            static_cast<uint64_t>(canon_of_entity[st.entity]) * 8 +
-            StepKindCode(st);
-        if (best == kInvalidNode || rank < best_rank) {
-          best = v;
-          best_rank = rank;
-        }
-      }
-      order.push_back(best);
-      placed[best] = 1;
-    }
-    std::vector<NodeId> pos(k);
-    for (NodeId i = 0; i < k; ++i) pos[order[i]] = i;
-
-    std::vector<Step> steps;
-    steps.reserve(k);
-    for (NodeId i = 0; i < k; ++i) {
-      Step st = txn.step(order[i]);
-      st.entity = canon_of_entity[st.entity];
-      steps.push_back(st);
-    }
-    // Pass the Hasse arcs, remapped and sorted: the raw arc list may
-    // carry transitively redundant arcs in caller-dependent order, and
-    // both leak into SomeLinearExtension (LIFO over adjacency lists) and
-    // from there into the serializer's chain decomposition.
-    std::vector<std::pair<int, int>> arcs;
-    const Digraph txn_hasse = txn.HasseDiagram();
-    for (NodeId v = 0; v < k; ++v) {
-      for (NodeId w : txn_hasse.OutNeighbors(v)) {
-        arcs.emplace_back(pos[v], pos[w]);
-      }
-    }
-    std::sort(arcs.begin(), arcs.end());
-    WYDB_ASSIGN_OR_RETURN(
-        Transaction renamed,
-        Transaction::Create(&cdb, StrFormat("q%d", t), std::move(steps),
-                            std::move(arcs)));
-    txns.push_back(std::move(renamed));
-  }
-  WYDB_ASSIGN_OR_RETURN(TransactionSystem csys,
-                        TransactionSystem::Create(&cdb, std::move(txns)));
-  const std::string raw = SerializeSystem(csys);
-
-  std::string header;
-  std::vector<std::string> bodies(sys.num_transactions());
-  {
-    size_t pos = 0;
-    int t = 0;
-    while (pos < raw.size()) {
-      size_t eol = raw.find('\n', pos);
-      std::string line = raw.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.rfind("txn ", 0) == 0) {
-        bodies[t++] = line.substr(line.find(':') + 1);
-      } else {
-        header += line + "\n";
-      }
-    }
+    std::vector<NodeId> by_rank(txn.num_steps());
+    std::iota(by_rank.begin(), by_rank.end(), 0);
+    auto rank = [&](NodeId v) {
+      return canon_of_entity[txn.step(v).entity] * 4 +
+             static_cast<int>(StepKindCode(txn.step(v)));
+    };
+    std::sort(by_rank.begin(), by_rank.end(),
+              [&](NodeId a, NodeId b) { return rank(a) < rank(b); });
+    AppendTransactionBody(txn, hasse[t], by_rank, entity_names, &bodies[t]);
   }
 
   // Canonical slot order: sort by body. Equal bodies are structurally
@@ -304,19 +274,22 @@ Result<std::pair<std::string, std::vector<int>>> Render(
     return a < b;
   });
 
-  std::string text = header;
   for (size_t slot = 0; slot < txn_order.size(); ++slot) {
-    text += StrFormat("txn t%d:", (int)slot) + bodies[txn_order[slot]] + "\n";
+    text += StrFormat("txn t%d:", (int)slot);
+    text += bodies[txn_order[slot]];
+    text += "\n";
   }
-  return std::make_pair(std::move(text), std::move(txn_order));
+  return {std::move(text), std::move(txn_order)};
 }
 
 struct LeafSearch {
-  LeafSearch(const TransactionSystem& s, const std::vector<Digraph>& h)
-      : sys(s), hasse(h) {}
+  LeafSearch(const TransactionSystem& s, const std::vector<Digraph>& h,
+             Refiner* r)
+      : sys(s), hasse(h), refiner(r) {}
 
   const TransactionSystem& sys;
   const std::vector<Digraph>& hasse;
+  Refiner* refiner;
   /// Remaining leaves the individualization search may render.
   int leaf_budget = 64;
   bool complete = true;
@@ -324,12 +297,11 @@ struct LeafSearch {
   std::string best_text;
   std::vector<int> best_entity_order;
   std::vector<int> best_txn_order;
-  Status error = Status::OK();
 
   /// Recursive individualization-refinement over entity ties. `c` must
   /// already be at a refinement fixpoint.
   void Search(const Colors& c) {
-    if (!error.ok() || !complete) return;
+    if (!complete) return;
     // Group entities by color; branch on the non-singleton class with
     // the smallest color value (color values are structure-only, so
     // isomorphic systems branch on corresponding classes).
@@ -355,15 +327,11 @@ struct LeafSearch {
       std::vector<int> order;
       order.reserve(by_color.size());
       for (const auto& [color, e] : by_color) order.push_back(e);
-      auto rendered = Render(sys, order);
-      if (!rendered.ok()) {
-        error = rendered.status();
-        return;
-      }
-      if (!have_best || rendered->first < best_text) {
+      auto [text, txn_order] = Render(sys, hasse, order);
+      if (!have_best || text < best_text) {
         have_best = true;
-        best_text = std::move(rendered->first);
-        best_txn_order = std::move(rendered->second);
+        best_text = std::move(text);
+        best_txn_order = std::move(txn_order);
         best_entity_order = std::move(order);
       }
       return;
@@ -372,9 +340,9 @@ struct LeafSearch {
       if (color != branch_color) continue;
       Colors child = c;
       child.entity[e] = MixHash64(child.entity[e] ^ 0x9E3779B97F4A7C15ULL);
-      RefineToFixpoint(sys, hasse, &child);
+      refiner->RefineToFixpoint(&child);
       Search(child);
-      if (!error.ok() || !complete) return;
+      if (!complete) return;
     }
   }
 };
@@ -393,35 +361,19 @@ Result<SystemKey> CanonicalSystemKey(const TransactionSystem& sys) {
   colors.site.assign(db.num_sites(), 1);
   colors.entity.assign(db.num_entities(), 2);
   colors.txn.assign(sys.num_transactions(), 3);
-  RefineToFixpoint(sys, hasse, &colors);
+  Refiner refiner(sys, hasse);
+  refiner.RefineToFixpoint(&colors);
 
-  LeafSearch search{sys, hasse};
+  LeafSearch search{sys, hasse, &refiner};
   search.Search(colors);
-  WYDB_RETURN_IF_ERROR(search.error);
 
+  // The first leaf is always rendered (the budget only runs out after
+  // 64 of them), so there is always a best leaf.
   SystemKey key;
-  key.complete = search.complete && search.have_best;
-  if (!search.have_best) {
-    // Budget exhausted before any leaf: break residual ties by original
-    // id. Sound (the text still fully describes the system), just not
-    // rename-invariant.
-    std::vector<int> order(db.num_entities());
-    for (int e = 0; e < db.num_entities(); ++e) order[e] = e;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      if (colors.entity[a] != colors.entity[b]) {
-        return colors.entity[a] < colors.entity[b];
-      }
-      return a < b;
-    });
-    WYDB_ASSIGN_OR_RETURN(auto rendered, Render(sys, order));
-    key.text = std::move(rendered.first);
-    key.txn_perm = std::move(rendered.second);
-    key.entity_perm = std::move(order);
-  } else {
-    key.text = std::move(search.best_text);
-    key.txn_perm = std::move(search.best_txn_order);
-    key.entity_perm = std::move(search.best_entity_order);
-  }
+  key.complete = search.complete;
+  key.text = std::move(search.best_text);
+  key.txn_perm = std::move(search.best_txn_order);
+  key.entity_perm = std::move(search.best_entity_order);
 
   uint64_t h = 0xCBF29CE484222325ULL;
   for (unsigned char ch : key.text) {

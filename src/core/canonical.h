@@ -43,11 +43,12 @@ struct SystemKey {
 /// Computes the canonical key of `sys`. The key is invariant under
 /// site/entity renaming, transaction permutation and renaming, and the
 /// order unordered steps were *listed* in (node ids are scrubbed: colors
-/// hash only order-theoretic invariants, and the rendering relists each
-/// transaction in a canonical linear extension). In particular, for
-/// complete keys the canonical text is a fixpoint: parsing `text` and
-/// canonicalizing again reproduces the same text, so a client may
-/// resubmit a previously returned canonical form and still hit.
+/// hash only order-theoretic invariants, and the rendering breaks ties by
+/// canonical entity and step kind). In particular, for complete keys the
+/// canonical text is a fixpoint: parsing `text` and canonicalizing again
+/// reproduces the same text, so a client may resubmit a previously
+/// returned canonical form and still hit. Every key's text is also what
+/// SerializeSystem prints for its own reparse.
 Result<SystemKey> CanonicalSystemKey(const TransactionSystem& sys);
 
 }  // namespace wydb

@@ -219,11 +219,7 @@ Digraph Transaction::HasseDiagram() const {
 }
 
 std::string Transaction::StepLabel(NodeId v) const {
-  const Step& s = steps_[v];
-  const char* op = s.kind == StepKind::kUnlock          ? "U"
-                   : s.mode == LockMode::kShared ? "S"
-                                                 : "L";
-  return StrFormat("%s%s", op, db_->EntityName(s.entity).c_str());
+  return StepLetter(steps_[v]) + db_->EntityName(steps_[v].entity);
 }
 
 std::string Transaction::DebugString() const {

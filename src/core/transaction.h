@@ -55,6 +55,13 @@ struct Step {
   bool operator==(const Step&) const = default;
 };
 
+/// The `.wydb` token letter of a step: 'L' (exclusive lock), 'S' (shared
+/// lock) or 'U' (unlock).
+inline char StepLetter(const Step& s) {
+  if (s.kind == StepKind::kUnlock) return 'U';
+  return s.mode == LockMode::kShared ? 'S' : 'L';
+}
+
 /// \brief A validated locked transaction: a DAG of Lock/Unlock steps.
 ///
 /// Instances are immutable after creation and cache the transitive closure

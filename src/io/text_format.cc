@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -281,6 +282,83 @@ Result<OwnedSystem> ParseSystem(const std::string& text) {
   return std::move(spec.owned);
 }
 
+void AppendTransactionBody(const Transaction& txn, const Digraph& hasse,
+                           const std::vector<NodeId>& by_priority,
+                           const std::vector<std::string>& entity_names,
+                           std::string* out) {
+  const int k = txn.num_steps();
+  std::vector<int> rank(k);
+  for (int r = 0; r < k; ++r) rank[by_priority[r]] = r;
+  // Decompose the Hasse diagram into chains. A chain starts at the
+  // highest-priority unplaced step whose Hasse predecessors are all
+  // placed, and grows along the highest-priority unplaced Hasse
+  // successor until there is none. Within-chain adjacency then encodes
+  // exactly those Hasse arcs; the remaining (cross-chain) Hasse arcs are
+  // emitted as explicit '<i>-><j>' tokens, so parse∘serialize is the
+  // identity on the step partial order. Both rules read only the order
+  // and the placed set, and the emitted chains are contiguous in token
+  // order, so with priority = node id the decomposition of a reparse
+  // reproduces the same chains: serialize∘parse∘serialize ==
+  // serialize. A totally ordered transaction is a single chain with no
+  // leftover arcs.
+  std::vector<int> unplaced_preds(k);
+  for (NodeId v = 0; v < k; ++v) unplaced_preds[v] = hasse.InDegree(v);
+  std::vector<char> placed(k, 0);
+  std::vector<std::vector<NodeId>> chains;
+  for (int remaining = k; remaining > 0;) {
+    NodeId v = kInvalidNode;
+    for (NodeId u : by_priority) {
+      if (!placed[u] && unplaced_preds[u] == 0) {
+        v = u;
+        break;
+      }
+    }
+    chains.emplace_back();
+    for (; v != kInvalidNode; --remaining) {
+      chains.back().push_back(v);
+      placed[v] = 1;
+      NodeId next = kInvalidNode;
+      for (NodeId w : hasse.OutNeighbors(v)) {
+        --unplaced_preds[w];
+        if (!placed[w] && (next == kInvalidNode || rank[w] < rank[next])) {
+          next = w;
+        }
+      }
+      v = next;
+    }
+  }
+  // 1-based ordinal of each node in the emitted token stream, and the
+  // chain successor covered by segment chaining.
+  std::vector<int> ordinal(k, 0);
+  std::vector<NodeId> chain_succ(k, kInvalidNode);
+  int next_ordinal = 1;
+  for (const auto& chain : chains) {
+    for (size_t i = 0; i < chain.size(); ++i) {
+      ordinal[chain[i]] = next_ordinal++;
+      if (i + 1 < chain.size()) chain_succ[chain[i]] = chain[i + 1];
+    }
+  }
+  for (size_t c = 0; c < chains.size(); ++c) {
+    if (c > 0) *out += " ;";
+    for (NodeId v : chains[c]) {
+      *out += ' ';
+      *out += StepLetter(txn.step(v));
+      *out += entity_names[txn.step(v).entity];
+    }
+  }
+  for (const auto& chain : chains) {
+    for (NodeId v : chain) {
+      std::vector<NodeId> heads = hasse.OutNeighbors(v);
+      std::sort(heads.begin(), heads.end(),
+                [&](NodeId a, NodeId b) { return ordinal[a] < ordinal[b]; });
+      for (NodeId w : heads) {
+        if (w == chain_succ[v]) continue;
+        *out += StrFormat(" %d->%d", ordinal[v], ordinal[w]);
+      }
+    }
+  }
+}
+
 std::string SerializeSystem(const TransactionSystem& sys) {
   return SerializeWorkload(sys, nullptr, nullptr);
 }
@@ -320,55 +398,16 @@ std::string SerializeWorkload(const TransactionSystem& sys,
                      static_cast<unsigned long long>(latency->jitter),
                      static_cast<unsigned long long>(latency->local));
   }
+  std::vector<std::string> entity_names(db.num_entities());
+  for (EntityId e = 0; e < db.num_entities(); ++e) {
+    entity_names[e] = db.EntityName(e);
+  }
   for (int i = 0; i < sys.num_transactions(); ++i) {
     const Transaction& t = sys.txn(i);
+    std::vector<NodeId> by_id(t.num_steps());
+    std::iota(by_id.begin(), by_id.end(), 0);
     out += "txn " + t.name() + ":";
-    // Decompose the Hasse diagram into chains: walk a fixed linear
-    // extension and append each node to the first chain whose tail has a
-    // Hasse arc to it. Within-chain adjacency then encodes exactly those
-    // Hasse arcs; the remaining (cross-chain) Hasse arcs are emitted as
-    // explicit '<i>-><j>' tokens so parse∘serialize is the identity on the
-    // step partial order. A totally ordered transaction is a single chain
-    // with no leftover arcs, so its serialization is unchanged.
-    const Digraph hasse = t.HasseDiagram();
-    std::vector<std::vector<NodeId>> chains;
-    for (NodeId v : t.SomeLinearExtension()) {
-      bool placed = false;
-      for (auto& chain : chains) {
-        if (hasse.HasArc(chain.back(), v)) {
-          chain.push_back(v);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) chains.push_back({v});
-    }
-    // 1-based ordinal of each node in the emitted token stream, and the
-    // chain successor covered by segment chaining.
-    std::vector<int> ordinal(t.num_steps(), 0);
-    std::vector<NodeId> chain_succ(t.num_steps(), kInvalidNode);
-    int next_ordinal = 1;
-    for (const auto& chain : chains) {
-      for (size_t k = 0; k < chain.size(); ++k) {
-        ordinal[chain[k]] = next_ordinal++;
-        if (k + 1 < chain.size()) chain_succ[chain[k]] = chain[k + 1];
-      }
-    }
-    for (size_t c = 0; c < chains.size(); ++c) {
-      if (c > 0) out += " ;";
-      for (NodeId v : chains[c]) out += " " + t.StepLabel(v);
-    }
-    for (const auto& chain : chains) {
-      for (NodeId v : chain) {
-        std::vector<NodeId> heads = hasse.OutNeighbors(v);
-        std::sort(heads.begin(), heads.end(),
-                  [&](NodeId a, NodeId b) { return ordinal[a] < ordinal[b]; });
-        for (NodeId w : heads) {
-          if (w == chain_succ[v]) continue;
-          out += StrFormat(" %d->%d", ordinal[v], ordinal[w]);
-        }
-      }
-    }
+    AppendTransactionBody(t, t.HasseDiagram(), by_id, entity_names, &out);
     out += "\n";
   }
   return out;

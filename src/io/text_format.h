@@ -32,6 +32,7 @@
 #define WYDB_IO_TEXT_FORMAT_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "gen/system_gen.h"
@@ -64,8 +65,22 @@ Result<OwnedSystem> ParseSystem(const std::string& text);
 /// identity on the step partial order: each transaction is emitted as
 /// ';'-separated chains of its Hasse diagram plus explicit '<i>-><j>' arc
 /// tokens for the cross-chain Hasse arcs. Totally ordered transactions
-/// serialize as a single plain chain, exactly as before.
+/// serialize as a single plain chain. The output is a fixpoint of
+/// serialize∘parse: reserializing a parse of it reproduces it byte for
+/// byte.
 std::string SerializeSystem(const TransactionSystem& sys);
+
+/// Appends the step list of one `txn` line — everything after the colon,
+/// with a leading space — for `txn`, whose Hasse diagram is `hasse`. The
+/// chain decomposition breaks ties by `by_priority` (every node id,
+/// highest priority first), and a step on entity e is labelled with
+/// `entity_names[e]`. SerializeWorkload passes node-id priority and the
+/// database names; the canonical key passes a canonical step order and
+/// canonical names, which is why both share this one writer.
+void AppendTransactionBody(const Transaction& txn, const Digraph& hasse,
+                           const std::vector<NodeId>& by_priority,
+                           const std::vector<std::string>& entity_names,
+                           std::string* out);
 
 /// As SerializeSystem, but also emits `sites`, `copies` and `latency`
 /// stanzas. Either pointer may be null; a null placement (or one with no

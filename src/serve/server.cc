@@ -144,11 +144,12 @@ Status Server::LoadJournalRecord(const std::string& payload) {
   WYDB_ASSIGN_OR_RETURN(WorkloadSpec spec,
                         ParseWorkload(bundle.canonical_text));
   const TransactionSystem& sys = *spec.owned.system;
-  WYDB_ASSIGN_OR_RETURN(SystemKey key, CanonicalSystemKey(sys));
+  WYDB_ASSIGN_OR_RETURN(SystemKey key, KeyOf(sys));
   if (key.text != bundle.canonical_text) {
     // Witness realization requires key.text == canonical_text; an
-    // incomplete key whose text is not a reparse fixpoint cannot be
-    // re-served soundly, so it is dropped rather than mis-keyed.
+    // incomplete key whose text is not a reparse fixpoint, or a record
+    // written under an older canonical form, cannot be re-served
+    // soundly, so it is dropped rather than mis-keyed.
     return Status::FailedPrecondition(
         "journaled certificate is not canonical-stable");
   }
@@ -188,6 +189,12 @@ Status Server::FlushJournal() {
   return sh.journal->Sync();
 }
 
+Result<SystemKey> Server::KeyOf(const TransactionSystem& sys) {
+  auto key = CanonicalSystemKey(sys);
+  if (key.ok() && !key->complete) ++shared_->stats.canonical_incomplete;
+  return key;
+}
+
 void Server::RecordLatency(uint64_t micros) {
   constexpr size_t kRing = 512;
   Shared& sh = *shared_;
@@ -223,7 +230,8 @@ std::string Server::StatsLine() const {
       "delta_skipped_tests=%llu deadline_polls=%llu runaways=%llu "
       "journal_appends=%llu journal_recovered=%llu "
       "journal_salvaged_bytes=%llu journal_compactions=%llu "
-      "journal_errors=%llu cache_size=%d p50_us=%llu p95_us=%llu",
+      "journal_errors=%llu canonical_incomplete=%llu cache_size=%d "
+      "p50_us=%llu p95_us=%llu",
       (unsigned long long)s.requests, (unsigned long long)s.certify_requests,
       (unsigned long long)s.simulate_requests, (unsigned long long)s.errors,
       (unsigned long long)s.cache_hits, (unsigned long long)s.cache_misses,
@@ -239,7 +247,8 @@ std::string Server::StatsLine() const {
       (unsigned long long)s.journal_recovered,
       (unsigned long long)s.journal_salvaged_bytes,
       (unsigned long long)s.journal_compactions,
-      (unsigned long long)s.journal_errors, cache_.size(),
+      (unsigned long long)s.journal_errors,
+      (unsigned long long)s.canonical_incomplete, cache_.size(),
       (unsigned long long)p50, (unsigned long long)p95);
 }
 
@@ -293,7 +302,7 @@ void Server::HandleCertify(const std::vector<std::string>& params,
   if (!parsed.ok()) return fail(parsed.status().message());
   const TransactionSystem& sys = *parsed->owned.system;
 
-  auto key = CanonicalSystemKey(sys);
+  auto key = KeyOf(sys);
   if (!key.ok()) return fail(key.status().message());
 
   SafetyCheckOptions base;
@@ -475,7 +484,7 @@ void Server::HandleSimulate(const std::vector<std::string>& params,
 Status Server::Preload(const std::string& text) {
   WYDB_ASSIGN_OR_RETURN(WorkloadSpec spec, ParseWorkload(text));
   const TransactionSystem& sys = *spec.owned.system;
-  WYDB_ASSIGN_OR_RETURN(SystemKey key, CanonicalSystemKey(sys));
+  WYDB_ASSIGN_OR_RETURN(SystemKey key, KeyOf(sys));
   if (cache_.Find(key).has_value()) return Status::OK();
   SafetyCheckOptions opts;
   opts.max_states = options_.max_states;

@@ -88,6 +88,9 @@ struct ServerStats {
   std::atomic<uint64_t> journal_salvaged_bytes{0};  ///< Torn tail dropped.
   std::atomic<uint64_t> journal_compactions{0};
   std::atomic<uint64_t> journal_errors{0};
+  /// Canonical keys whose individualization leaf budget ran out (still
+  /// sound, but a renamed resubmission may miss the cache).
+  std::atomic<uint64_t> canonical_incomplete{0};
 };
 
 class Server {
@@ -138,6 +141,9 @@ class Server {
                       const std::string& payload,
                       std::vector<std::string>* response);
   void RecordLatency(uint64_t micros);
+
+  /// CanonicalSystemKey, counting incomplete keys in stats.
+  Result<SystemKey> KeyOf(const TransactionSystem& sys);
 
   /// Journals a freshly computed verdict and compacts when the journal
   /// has outgrown the cache by journal_compact_slack records. Journal

@@ -4,6 +4,7 @@
 // the canonical rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -174,6 +175,95 @@ TEST(CanonicalKeyTest, HighlySymmetricSystemsStillCanonicalize) {
     // so even a truncated search agrees across permutations.
     EXPECT_EQ(vkey->text, key->text) << "rot " << rot;
   }
+}
+
+/// The renderer and the serializer must agree: the canonical text is
+/// exactly what SerializeSystem prints for its own reparse. For complete
+/// keys (and whenever `expect_stable`), re-keying the reparse reproduces
+/// the text, and renamed/permuted copies key to it. Returns whether the
+/// key was complete.
+bool ExpectRendererMatchesSerializer(const TransactionSystem& sys,
+                                     const std::string& label,
+                                     bool expect_stable = false) {
+  SCOPED_TRACE(label);
+  auto key = CanonicalSystemKey(sys);
+  EXPECT_TRUE(key.ok()) << key.status().ToString();
+  if (!key.ok()) return false;
+  auto reparsed = ParseWorkload(key->text);
+  EXPECT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
+                             << key->text;
+  if (!reparsed.ok()) return false;
+  EXPECT_EQ(SerializeSystem(*reparsed->owned.system), key->text);
+  if (!key->complete && !expect_stable) return false;
+  auto again = CanonicalSystemKey(*reparsed->owned.system);
+  EXPECT_TRUE(again.ok());
+  if (again.ok()) EXPECT_EQ(again->text, key->text);
+  const int n = sys.num_transactions();
+  for (int rot = 1; rot < std::min(n, 4); ++rot) {
+    OwnedSystem variant = RenameAndPermute(sys, rot);
+    auto vkey = CanonicalSystemKey(*variant.system);
+    EXPECT_TRUE(vkey.ok());
+    if (vkey.ok()) EXPECT_EQ(vkey->text, key->text) << "rot " << rot;
+  }
+  return key->complete;
+}
+
+TEST(CanonicalKeyTest, RendererAgreesWithTheSerializer) {
+  int complete = 0;
+  int total = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    RandomSystemOptions opts;
+    opts.num_sites = 3;
+    opts.entities_per_site = 2;
+    opts.num_transactions = 4;
+    opts.entities_per_txn = 3;
+    opts.extra_arc_prob = seed % 3 == 0 ? 0.0 : 0.3;
+    opts.shared_fraction = seed % 2 == 0 ? 0.5 : 0.0;
+    opts.seed = seed;
+    auto sys = GenerateRandomSystem(opts);
+    ASSERT_TRUE(sys.ok());
+    ++total;
+    complete += ExpectRendererMatchesSerializer(
+        *sys->system, "random seed " + std::to_string(seed));
+  }
+  for (int k = 2; k <= 6; ++k) {
+    auto ring = GenerateRingSystem(k);
+    ASSERT_TRUE(ring.ok());
+    ++total;
+    complete += ExpectRendererMatchesSerializer(
+        *ring->system, "ring " + std::to_string(k));
+  }
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    auto chorded = GenerateChordedCycleSystem(5, 2, seed);
+    ASSERT_TRUE(chorded.ok());
+    ++total;
+    complete += ExpectRendererMatchesSerializer(
+        *chorded->system, "chorded seed " + std::to_string(seed));
+  }
+  // Entity-less sites render as a `sites:` line, as the serializer does.
+  auto spare = ParseSystem(
+      "sites: spare other\n"
+      "site s1: x y\n"
+      "site s2: z\n"
+      "txn A: Lx Ly Uy Ux ; Lz Uz 1->4\n"
+      "txn B: Sz Lx Ux Uz\n");
+  ASSERT_TRUE(spare.ok()) << spare.status().ToString();
+  ++total;
+  complete += ExpectRendererMatchesSerializer(*spare->system, "spare sites");
+  // The fixpoint checks above must not have been skipped wholesale.
+  EXPECT_GT(complete * 4, total * 3) << complete << " of " << total;
+
+  // Six identical disjoint transactions exhaust the leaf budget, but every
+  // leaf renders the same text, so the key is still stable.
+  auto db = MakeDb({{"s1", {"a", "b", "c", "d", "e", "f"}}});
+  std::vector<Transaction> txns;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    txns.push_back(MakeSeq(db.get(), std::string("T") + name,
+                           {std::string("L") + name,
+                            std::string("U") + name}));
+  }
+  TransactionSystem six = MakeSystem(db.get(), std::move(txns));
+  ExpectRendererMatchesSerializer(six, "six identical", /*expect_stable=*/true);
 }
 
 }  // namespace

@@ -15,6 +15,10 @@
 
 #include <unistd.h>
 
+#include "analysis/certificate.h"
+#include "analysis/safety_checker.h"
+#include "core/canonical.h"
+#include "io/text_format.h"
 #include "serve/journal.h"
 #include "serve/server.h"
 
@@ -419,6 +423,58 @@ TEST(ServerJournalTest, TornJournalTailIsSalvagedNotFatal) {
   // The server still serves — the verdict is just recomputed.
   const std::string out = Drive(*reborn, CertifyRequest(kDeadlockPair));
   EXPECT_NE(out.find("source=full"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
+TEST(ServerJournalTest, NonCanonicalRecordIsSkippedAndReCertified) {
+  // A record whose canonical_text is a valid listing of its system but
+  // not the canonical one — what every record written before a change of
+  // the canonical form looks like. Recovery must skip it (re-keying the
+  // text does not reproduce it), count it, and re-certify on demand.
+  const std::string path = TempJournalPath("server_noncanonical");
+  {
+    auto parsed = ParseWorkload(kDeadlockPair);
+    ASSERT_TRUE(parsed.ok());
+    auto key = CanonicalSystemKey(*parsed->owned.system);
+    ASSERT_TRUE(key.ok());
+    auto report = CheckSafeAndDeadlockFree(*parsed->owned.system);
+    ASSERT_TRUE(report.ok());
+    ASSERT_FALSE(report->holds);
+    CertificateBundle stale = MakeCertificate(*key, *report);
+    ASSERT_NE(stale.canonical_text, kDeadlockPair);
+    stale.canonical_text = kDeadlockPair;
+    ASSERT_TRUE(ParseCertificate(SerializeCertificate(stale)).ok());
+    auto journal = Journal::Open(path, JournalOptions{}, nullptr);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_TRUE(journal->Append(SerializeCertificate(stale)).ok());
+    ASSERT_TRUE(journal->Sync().ok());
+  }
+
+  ServerOptions opts;
+  opts.journal_path = path;
+  opts.journal_fsync_every = 1;
+  {
+    auto server = Server::Create(opts);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_EQ(server->stats().journal_recovered, 0u);
+    EXPECT_EQ(server->stats().journal_errors, 1u);
+    const std::string out = Drive(*server, CertifyRequest(kDeadlockPair));
+    EXPECT_NE(out.find("certified=no source=full"), std::string::npos) << out;
+    EXPECT_NE(out.find("witness: "), std::string::npos) << out;
+    EXPECT_EQ(server->stats().journal_appends, 1u);
+  }
+
+  // The fresh verdict was journaled under the canonical text: the next
+  // restart recovers it (the stale record is still skipped) and serves
+  // even a renamed resubmission from cache.
+  auto reborn = Server::Create(opts);
+  ASSERT_TRUE(reborn.ok()) << reborn.status().ToString();
+  EXPECT_EQ(reborn->stats().journal_recovered, 1u);
+  EXPECT_EQ(reborn->stats().journal_errors, 1u);
+  const std::string out =
+      Drive(*reborn, CertifyRequest(kDeadlockPairPermuted));
+  EXPECT_NE(out.find("certified=no source=cache"), std::string::npos) << out;
+  EXPECT_EQ(reborn->stats().full_certifications, 0u);
   std::remove(path.c_str());
 }
 

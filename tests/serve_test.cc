@@ -324,6 +324,24 @@ TEST(ServeTest, StatsLineReflectsTheCounters) {
   EXPECT_NE(stats.find("full=1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("cache_size=1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("p50_us="), std::string::npos) << stats;
+  EXPECT_NE(stats.find("canonical_incomplete=0"), std::string::npos) << stats;
+}
+
+TEST(ServeTest, IncompleteCanonicalKeysAreCounted) {
+  // Six identical disjoint transactions tie six entities through
+  // refinement: 720 individualization leaves against a budget of 64.
+  Server server = MakeServer();
+  const std::string six =
+      "site s1: a b c d e f\n"
+      "txn T1: La Ua\ntxn T2: Lb Ub\ntxn T3: Lc Uc\n"
+      "txn T4: Ld Ud\ntxn T5: Le Ue\ntxn T6: Lf Uf\n";
+  auto out = Drive(server, CertifyRequest(six));
+  EXPECT_TRUE(AnyLineContains(out, "certified=yes")) << out[0];
+  EXPECT_EQ(server.stats().canonical_incomplete, 1u);
+  Drive(server, CertifyRequest(kDeadlockPair));
+  EXPECT_EQ(server.stats().canonical_incomplete, 1u);
+  const std::string stats = FirstLineWith(Drive(server, "stats\n"), "stats: ");
+  EXPECT_NE(stats.find("canonical_incomplete=1"), std::string::npos) << stats;
 }
 
 TEST(ServeTest, CompactStoreIsRejectedAtStartup) {

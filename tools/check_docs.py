@@ -378,6 +378,7 @@ def check_serve_smoke(binary: Path) -> list[str]:
         "echo: txn T: Lx Ux",
         "cache_hits=2",
         "errors=1",
+        "canonical_incomplete=0",
         "bye",
     ]:
         if want not in out:
